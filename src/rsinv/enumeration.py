@@ -7,14 +7,13 @@ use exact integer arithmetic.
 """
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from itertools import permutations as _symmetric_group
 from math import factorial
 from typing import Iterator, Sequence
 
 from .errors import InstanceTooLarge
-from .greene import is_dually_gfk_tight
+from .greene import env_cap, is_dually_gfk_tight
 from .permutations import Perm, inverse
 from .rsk import inverse_rsk
 from .tableaux import Shape, Tableau, as_tableau
@@ -270,10 +269,7 @@ def brute_count_general(n: int) -> int:
     that p and its inverse are both dually GFK-tight.  Must agree with
     count_A; capped because the scan is factorial.
     """
-    cap = BRUTE_COUNT_CAP
-    env = os.environ.get("RSINV_MAX_N")
-    if env:
-        cap = min(cap, int(env))
+    cap = env_cap(BRUTE_COUNT_CAP)
     if n > cap:
         raise InstanceTooLarge(f"factorial scan capped at n <= {cap}, got {n}")
     count = 0

@@ -9,6 +9,9 @@ independent of the Robinson-Schensted machinery so the two can be tested
 against each other.  The scan walks the inclusion/exclusion tree once per
 permutation and records the best size for every k simultaneously, so a
 full profile costs O(2^n * n); profiles are cached per permutation.
+The k-decreasing profile and dual tightness of p are the k-increasing
+profile and tightness of the reversed word, so one scan and one cache
+serve both sides.
 """
 from __future__ import annotations
 
@@ -16,17 +19,27 @@ import os
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import InstanceTooLarge
-from .permutations import Interval, jogs, reverse_jogs
+from .errors import DomainError, InstanceTooLarge
+from .permutations import Interval, jogs, reverse
 
 #: largest n the subset oracle will accept
 ORACLE_CAP = 16
 
 
+def env_cap(cap: int) -> int:
+    """cap, lowered to RSINV_MAX_N when that is set, for constrained runs.
+    Raises DomainError unless the value is a nonnegative integer."""
+    env = os.environ.get("RSINV_MAX_N", "").strip()
+    if not env:
+        return cap
+    if not env.isdecimal():
+        raise DomainError(f"RSINV_MAX_N must be a nonnegative integer, got {env!r}")
+    return min(cap, int(env))
+
+
 def oracle_cap() -> int:
-    """Effective oracle cap; RSINV_MAX_N can lower it for constrained runs."""
-    env = os.environ.get("RSINV_MAX_N")
-    return min(ORACLE_CAP, int(env)) if env else ORACLE_CAP
+    """Effective oracle cap, lowered by RSINV_MAX_N."""
+    return env_cap(ORACLE_CAP)
 
 
 def _check_cap(n: int) -> None:
@@ -35,9 +48,9 @@ def _check_cap(n: int) -> None:
         raise InstanceTooLarge(f"subset oracle capped at n <= {cap}, got {n}")
 
 
-def _subset_profile(values: tuple[int, ...], decreasing_chains: bool) -> tuple[int, ...]:
-    # best[k] = largest subset whose induced subsequence has no monotone
-    # chain of length k+1 (chains decreasing or increasing per flag).
+def _subset_profile(values: tuple[int, ...]) -> tuple[int, ...]:
+    # best[k] = largest subset whose induced subsequence has no decreasing
+    # chain of length k+1.
     n = len(values)
     best = [0] * (n + 1)
     chosen: list[tuple[int, int]] = []  # (value, longest chain ending here)
@@ -50,14 +63,9 @@ def _subset_profile(values: tuple[int, ...], decreasing_chains: bool) -> tuple[i
         explore(i + 1, longest)
         x = values[i]
         ending = 1
-        if decreasing_chains:
-            for v, c in chosen:
-                if v > x and c >= ending:
-                    ending = c + 1
-        else:
-            for v, c in chosen:
-                if v < x and c >= ending:
-                    ending = c + 1
+        for v, c in chosen:
+            if v > x and c >= ending:
+                ending = c + 1
         chosen.append((x, ending))
         explore(i + 1, ending if ending > longest else longest)
         chosen.pop()
@@ -73,14 +81,13 @@ def _subset_profile(values: tuple[int, ...], decreasing_chains: bool) -> tuple[i
 def k_increasing_profile(p: tuple[int, ...]) -> tuple[int, ...]:
     """profile[k] = length of the longest k-increasing subsequence, k = 0..n."""
     _check_cap(len(p))
-    return _subset_profile(p, decreasing_chains=True)
+    return _subset_profile(p)
 
 
-@lru_cache(maxsize=None)
-def k_decreasing_profile(p: tuple[int, ...]) -> tuple[int, ...]:
-    """profile[k] = length of the longest k-decreasing subsequence, k = 0..n."""
-    _check_cap(len(p))
-    return _subset_profile(p, decreasing_chains=False)
+def k_decreasing_profile(p: Sequence[int]) -> tuple[int, ...]:
+    """profile[k] = length of the longest k-decreasing subsequence, k = 0..n.
+    Reversing the word turns decreasing subsequences into increasing ones."""
+    return k_increasing_profile(reverse(p))
 
 
 def longest_k_increasing(p: Sequence[int], k: int) -> int:
@@ -100,12 +107,8 @@ def longest_k_increasing(p: Sequence[int], k: int) -> int:
 
 
 def longest_k_decreasing(p: Sequence[int], k: int) -> int:
-    """Mirror of longest_k_increasing with increasing/decreasing swapped."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    _check_cap(len(p))
-    profile = k_decreasing_profile(tuple(p))
-    return profile[min(k, len(p))]
+    """longest_k_increasing of the reversed word."""
+    return longest_k_increasing(reverse(p), k)
 
 
 def _tight_against(profile: tuple[int, ...], intervals: list[Interval]) -> bool:
@@ -132,10 +135,10 @@ def is_gfk_tight(p: Sequence[int]) -> bool:
 
 def is_dually_gfk_tight(p: Sequence[int]) -> bool:
     """True iff the k longest reverse jogs realize the longest k-decreasing
-    subsequence length for every k up to the number of reverse jogs."""
-    p = tuple(p)
-    _check_cap(len(p))
-    return _tight_against(k_decreasing_profile(p), reverse_jogs(p))
+    subsequence length for every k up to the number of reverse jogs: the
+    reverse jogs of p are the jogs of its reversed word, so this is
+    is_gfk_tight of that word."""
+    return is_gfk_tight(reverse(p))
 
 
 def prefix_lds_lengths(p: Sequence[int]) -> list[int]:

@@ -168,33 +168,28 @@ def jogs(p: Sequence[int]) -> list[Interval]:
     [Interval(lo=1, hi=2), Interval(lo=3, hi=5), Interval(lo=6, hi=7)]
     """
     pos = position_of_value(p)
-    return _consecutive_blocks(len(p), lambda v: pos[v - 1] < pos[v])
-
-
-def reverse_jogs(p: Sequence[int]) -> list[Interval]:
-    """
-    Decompose 1..n into reverse jogs: maximal sets of consecutive integers
-    whose positions in p decrease (i+1 precedes i).  Increasing order of
-    interval start.
-
-    >>> reverse_jogs((3, 2, 1, 5, 4))
-    [Interval(lo=1, hi=3), Interval(lo=4, hi=5)]
-    """
-    pos = position_of_value(p)
-    return _consecutive_blocks(len(p), lambda v: pos[v - 1] > pos[v])
-
-
-def _consecutive_blocks(n, joined) -> list[Interval]:
-    # joined(v) tells whether values v and v+1 belong to the same block
+    n = len(p)
     blocks = []
     lo = 1
     for v in range(1, n):
-        if not joined(v):
+        if pos[v - 1] > pos[v]:
             blocks.append(Interval(lo, v))
             lo = v + 1
     if n >= 1:
         blocks.append(Interval(lo, n))
     return blocks
+
+
+def reverse_jogs(p: Sequence[int]) -> list[Interval]:
+    """
+    Decompose 1..n into reverse jogs: maximal sets of consecutive integers
+    whose positions in p decrease (i+1 precedes i).  These are the jogs of
+    the reversed word.  Increasing order of interval start.
+
+    >>> reverse_jogs((3, 2, 1, 5, 4))
+    [Interval(lo=1, hi=3), Interval(lo=4, hi=5)]
+    """
+    return jogs(reverse(p))
 
 
 def is_layered(p: Sequence[int]) -> bool:

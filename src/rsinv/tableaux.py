@@ -95,11 +95,6 @@ def row_of_entry(t: Sequence[Sequence[int]]) -> dict[int, int]:
     return {v: r for r, row in enumerate(t, start=1) for v in row}
 
 
-def column_of_entry(t: Sequence[Sequence[int]]) -> dict[int, int]:
-    """Map each entry to its 1-based column index."""
-    return {v: c for row in t for c, v in enumerate(row, start=1)}
-
-
 def tableau_descents(t: Sequence[Sequence[int]]) -> set[int]:
     """
     Entries i such that i+1 lies in a strictly lower row.
@@ -125,12 +120,10 @@ def is_layered_tableau(t: Sequence[Sequence[int]]) -> bool:
 def satisfies_transposed_layer(t: Sequence[Sequence[int]]) -> bool:
     """
     True iff every entry i+1 sits either in the first column or in the
-    column immediately right of i's column.
+    column immediately right of i's column: the layered condition on the
+    transpose.
     """
-    col = column_of_entry(t)
-    return all(
-        col[i + 1] == col[i] + 1 or col[i + 1] == 1 for i in range(1, size(t))
-    )
+    return is_layered_tableau(transpose(t))
 
 
 def first_column(t: Sequence[Sequence[int]]) -> tuple[int, ...]:

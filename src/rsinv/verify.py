@@ -1,15 +1,17 @@
 """Exhaustive verification suites over every permutation (or involution,
 or tableau) up to a size bound.
 
-Each check walks its full instance space, counts instances, and collects
-counterexamples; suites bundle related checks.  The CLI exposes them so
-the whole battery can be reproduced without a test runner, and the test
-suite asserts them at the sizes fixed in tests/test_acceptance.py.
+Each check names a stream of instances and a predicate that must hold on
+every one of them; ``_check`` walks the stream, counts instances, and
+collects counterexamples.  Suites bundle related checks.  The CLI exposes
+them so the whole battery can be reproduced without a test runner, and the
+test suite asserts them at the sizes fixed in tests/test_acceptance.py.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from itertools import accumulate, chain
+from typing import Any, Callable, Iterable, Iterator
 
 from . import direct, enumeration, greene, permutations, tableaux
 from .rsk import f_involution, inverse_rsk, rsk, tableau_of_involution
@@ -17,7 +19,6 @@ from .permutations import (
     all_permutations,
     avoids,
     descent_set,
-    format_permutation,
     inverse,
     is_involution,
     is_layered,
@@ -47,23 +48,39 @@ class CheckResult:
     def ok(self) -> bool:
         return not self.failures
 
-    def count(self) -> None:
-        self.checked += 1
 
-    def fail(self, message: str) -> None:
-        if len(self.failures) < MAX_FAILURES_KEPT:
-            self.failures.append(message)
+def _check(name: str, instances: Iterable[Any], holds: Callable[[Any], bool]) -> CheckResult:
+    """Count every instance and keep a message for each one where ``holds``
+    is false; past MAX_FAILURES_KEPT messages the last one becomes a note
+    that more were suppressed.  An int instance is a size n."""
+    res = CheckResult(name)
+    for x in instances:
+        res.checked += 1
+        if holds(x):
+            continue
+        if len(res.failures) < MAX_FAILURES_KEPT:
+            res.failures.append(f"{name} fails at {f'n={x}' if isinstance(x, int) else x}")
         else:
-            self.failures[-1] = "... more failures suppressed"
-
-    def expect(self, condition: bool, message: str) -> None:
-        self.count()
-        if not condition:
-            self.fail(message)
+            res.failures[-1] = "... more failures suppressed"
+    return res
 
 
-def _sizes(max_n: int, start: int = 0) -> range:
-    return range(start, max_n + 1)
+def _upto(family: Callable[[int], Iterable[Any]], max_n: int, start: int = 0) -> Iterator[Any]:
+    """Every member of family(n) for n = start..max_n, in order of n."""
+    return chain.from_iterable(family(n) for n in range(start, max_n + 1))
+
+
+def _prefix_sums(parts: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Prefix sums of parts, padded with zero parts to n terms."""
+    return tuple(accumulate(parts + (0,) * (n - len(parts))))
+
+
+def _distinct_family(
+    members: Iterable[Any], count: int, valid: Callable[[Any], bool] = lambda _: True
+) -> bool:
+    """members are exactly count distinct values, each of them valid."""
+    members = list(members)
+    return len(members) == len(set(members)) == count and all(map(valid, members))
 
 
 # ---------------------------------------------------------------- rsk suite
@@ -71,60 +88,43 @@ def _sizes(max_n: int, start: int = 0) -> range:
 
 def check_roundtrip(max_n: int = 7) -> CheckResult:
     """inverse_rsk(rsk(p)) == p for every permutation."""
-    res = CheckResult("roundtrip")
-    for n in _sizes(max_n):
-        for p in all_permutations(n):
-            res.expect(inverse_rsk(rsk(p)) == p, f"roundtrip broke at {p}")
-    return res
+    return _check("roundtrip", _upto(all_permutations, max_n), lambda p: inverse_rsk(rsk(p)) == p)
 
 
 def check_schuetzenberger(max_n: int = 7) -> CheckResult:
     """rsk(inverse(p)) swaps the insertion and recording tableaux."""
-    res = CheckResult("schuetzenberger")
-    for n in _sizes(max_n):
-        for p in all_permutations(n):
-            p_tab, q_tab = rsk(p)
-            res.expect(
-                rsk(inverse(p)) == (q_tab, p_tab),
-                f"inverse did not swap tableaux at {p}",
-            )
-    return res
+    return _check(
+        "schuetzenberger",
+        _upto(all_permutations, max_n),
+        lambda p: rsk(inverse(p)) == rsk(p)[::-1],
+    )
 
 
 def check_reversal_transpose(max_n: int = 7) -> CheckResult:
     """The insertion tableau of the reversed word is the transpose."""
-    res = CheckResult("reversal-transpose")
-    for n in _sizes(max_n):
-        for p in all_permutations(n):
-            res.expect(
-                rsk(reverse(p))[0] == transpose(rsk(p)[0]),
-                f"reversal/transpose mismatch at {p}",
-            )
-    return res
+    return _check(
+        "reversal-transpose",
+        _upto(all_permutations, max_n),
+        lambda p: rsk(reverse(p))[0] == transpose(rsk(p)[0]),
+    )
 
 
 def check_descent_transport(max_n: int = 7) -> CheckResult:
     """Position descents of p equal entry descents of the recording tableau."""
-    res = CheckResult("descent-transport")
-    for n in _sizes(max_n):
-        for p in all_permutations(n):
-            res.expect(
-                descent_set(p) == tableau_descents(rsk(p)[1]),
-                f"descent sets differ at {p}",
-            )
-    return res
+    return _check(
+        "descent-transport",
+        _upto(all_permutations, max_n),
+        lambda p: descent_set(p) == tableau_descents(rsk(p)[1]),
+    )
 
 
 def check_f_twice(max_n: int = 8) -> CheckResult:
     """Applying the tableau-transpose map twice is the identity."""
-    res = CheckResult("f-twice")
-    for n in _sizes(max_n):
-        for p in enumeration.involutions(n):
-            res.expect(
-                f_involution(f_involution(p)) == p,
-                f"f(f(p)) != p at {format_permutation(p)}",
-            )
-    return res
+    return _check(
+        "f-twice",
+        _upto(enumeration.involutions, max_n),
+        lambda p: f_involution(f_involution(p)) == p,
+    )
 
 
 # ------------------------------------------------------------- greene suite
@@ -133,69 +133,53 @@ def check_f_twice(max_n: int = 8) -> CheckResult:
 def check_shape_prefix_sums(max_n: int = 7) -> CheckResult:
     """Row (column) prefix sums of the insertion shape match the oracle's
     longest k-increasing (k-decreasing) lengths for every k."""
-    res = CheckResult("shape-prefix-sums")
-    for n in _sizes(max_n):
-        for p in all_permutations(n):
-            rows = shape(rsk(p)[0])
-            cols = tableaux.conjugate(rows)
-            inc = greene.k_increasing_profile(p)
-            dec = greene.k_decreasing_profile(p)
-            ok = True
-            row_sum = col_sum = 0
-            for k in range(1, n + 1):
-                row_sum += rows[k - 1] if k <= len(rows) else 0
-                col_sum += cols[k - 1] if k <= len(cols) else 0
-                if row_sum != inc[k] or col_sum != dec[k]:
-                    ok = False
-                    break
-            res.expect(ok, f"shape prefix sums disagree with oracle at {p}")
-    return res
+
+    def holds(p):
+        rows = shape(rsk(p)[0])
+        return (
+            _prefix_sums(rows, len(p)) == greene.k_increasing_profile(p)[1:]
+            and _prefix_sums(tableaux.conjugate(rows), len(p))
+            == greene.k_decreasing_profile(p)[1:]
+        )
+
+    return _check("shape-prefix-sums", _upto(all_permutations, max_n), holds)
 
 
 def check_profile_monotone(max_n: int = 7) -> CheckResult:
     """Profiles grow weakly, never exceed n, and saturate at n once k
     reaches the longest decreasing (increasing) subsequence length."""
-    res = CheckResult("profile-monotone")
-    for n in _sizes(max_n):
-        for p in all_permutations(n):
-            inc = greene.k_increasing_profile(p)
-            lds = greene.prefix_lds_lengths(p)[-1] if n else 0
-            ok = all(inc[k - 1] <= inc[k] <= n for k in range(1, n + 1))
-            ok = ok and all(inc[k] == n for k in range(lds, n + 1))
-            res.expect(ok, f"profile not monotone/saturating at {p}")
-    return res
+
+    def holds(p):
+        n = len(p)
+        inc = greene.k_increasing_profile(p)
+        lds = greene.prefix_lds_lengths(p)[-1] if n else 0
+        return all(inc[k - 1] <= inc[k] <= n for k in range(1, n + 1)) and all(
+            inc[k] == n for k in range(lds, n + 1)
+        )
+
+    return _check("profile-monotone", _upto(all_permutations, max_n), holds)
 
 
 def check_jog_lower_bound(max_n: int = 8) -> CheckResult:
     """Any k jogs form a k-increasing subsequence, so the k longest jogs
     bound the oracle value from below."""
-    res = CheckResult("jog-lower-bound")
-    for n in _sizes(max_n):
-        for p in all_permutations(n):
-            lengths = sorted((j.length for j in jogs(p)), reverse=True)
-            inc = greene.k_increasing_profile(p)
-            total = 0
-            ok = True
-            for k, length in enumerate(lengths, start=1):
-                total += length
-                if inc[k] < total:
-                    ok = False
-                    break
-            res.expect(ok, f"jog lower bound violated at {p}")
-    return res
+
+    def holds(p):
+        inc = greene.k_increasing_profile(p)
+        lengths = sorted((j.length for j in jogs(p)), reverse=True)
+        return all(total <= inc[k] for k, total in enumerate(accumulate(lengths), start=1))
+
+    return _check("jog-lower-bound", _upto(all_permutations, max_n), holds)
 
 
 def check_record_breaker_column(max_n: int = 7) -> CheckResult:
     """Record-breakers of p are exactly the first-column entries of the
     recording tableau."""
-    res = CheckResult("record-breaker-column")
-    for n in _sizes(max_n):
-        for p in all_permutations(n):
-            res.expect(
-                greene.record_breakers(p) == set(first_column(rsk(p)[1])),
-                f"record breakers differ from first column at {p}",
-            )
-    return res
+    return _check(
+        "record-breaker-column",
+        _upto(all_permutations, max_n),
+        lambda p: greene.record_breakers(p) == set(first_column(rsk(p)[1])),
+    )
 
 
 # ----------------------------------------------------- characterization suite
@@ -204,175 +188,137 @@ def check_record_breaker_column(max_n: int = 7) -> CheckResult:
 def check_layered_tableau_sets(max_n: int = 8) -> CheckResult:
     """Tableaux of layered permutations are exactly the tableaux passing
     is_layered_tableau; both families have 2^(n-1) members."""
-    res = CheckResult("layered-tableau-sets")
-    for n in _sizes(max_n, start=1):
-        from_perms = {
-            tableau_of_involution(w) for w in enumeration.layered_permutations(n)
-        }
+
+    def holds(n):
+        from_perms = {tableau_of_involution(w) for w in enumeration.layered_permutations(n)}
         from_filter = {t for t in enumeration.standard_tableaux(n) if is_layered_tableau(t)}
-        res.expect(
+        return (
             from_perms == from_filter == set(enumeration.layered_tableaux(n))
-            and len(from_perms) == 2 ** (n - 1),
-            f"layered tableau families disagree at n={n}",
+            and len(from_perms) == 2 ** (n - 1)
         )
-    return res
+
+    return _check("layered-tableau-sets", range(1, max_n + 1), holds)
 
 
 def check_tight_vs_transposed_layer(max_n: int = 8) -> CheckResult:
     """An involution's tableau satisfies the transposed layer condition
     exactly when the involution is GFK-tight."""
-    res = CheckResult("tight-vs-transposed-layer")
-    for n in _sizes(max_n):
-        for p in enumeration.involutions(n):
-            res.expect(
-                satisfies_transposed_layer(tableau_of_involution(p))
-                == greene.is_gfk_tight(p),
-                f"transposed-layer/GFK-tight mismatch at {format_permutation(p)}",
-            )
-    return res
+    return _check(
+        "tight-vs-transposed-layer",
+        _upto(enumeration.involutions, max_n),
+        lambda p: satisfies_transposed_layer(tableau_of_involution(p)) == greene.is_gfk_tight(p),
+    )
 
 
 def check_layered_vs_dually_tight(max_n: int = 8) -> CheckResult:
     """A permutation is layered exactly when it is a dually GFK-tight
     involution."""
-    res = CheckResult("layered-vs-dually-tight")
-    for n in _sizes(max_n):
-        for p in all_permutations(n):
-            claim = is_involution(p) and greene.is_dually_gfk_tight(p)
-            res.expect(
-                is_layered(p) == claim,
-                f"layered/dually-tight mismatch at {p}",
-            )
-    return res
+    return _check(
+        "layered-vs-dually-tight",
+        _upto(all_permutations, max_n),
+        lambda p: is_layered(p) == (is_involution(p) and greene.is_dually_gfk_tight(p)),
+    )
 
 
 def check_layer_jog_transport(max_n: int = 8) -> CheckResult:
     """The layers of a layered permutation reappear as the jogs of its
     image under the tableau-transpose map."""
-    res = CheckResult("layer-jog-transport")
-    for n in _sizes(max_n, start=1):
-        for w in enumeration.layered_permutations(n):
-            res.expect(
-                set(layers(w)) == set(jogs(f_involution(w))),
-                f"layers did not transport to jogs at {format_permutation(w)}",
-            )
-    return res
+    return _check(
+        "layer-jog-transport",
+        _upto(enumeration.layered_permutations, max_n, start=1),
+        lambda w: set(layers(w)) == set(jogs(f_involution(w))),
+    )
 
 
 def check_ascent_flip(max_n: int = 8) -> CheckResult:
     """Adjacent values in ascending order in an involution end up in
     descending order in its image."""
-    res = CheckResult("ascent-flip")
-    for n in _sizes(max_n):
-        for p in enumeration.involutions(n):
-            pos = permutations.position_of_value(p)
-            fpos = permutations.position_of_value(f_involution(p))
-            ok = all(
-                fpos[a - 1] > fpos[a]
-                for a in range(1, n)
-                if pos[a - 1] < pos[a]
-            )
-            res.expect(ok, f"ascending pair stayed ascending at {format_permutation(p)}")
-    return res
+
+    def holds(p):
+        pos = permutations.position_of_value(p)
+        fpos = permutations.position_of_value(f_involution(p))
+        return all(fpos[a - 1] > fpos[a] for a in range(1, len(p)) if pos[a - 1] < pos[a])
+
+    return _check("ascent-flip", _upto(enumeration.involutions, max_n), holds)
 
 
 def check_general_equivalence(max_n: int = 7) -> CheckResult:
     """Both tableaux layered <=> p and its inverse dually GFK-tight, and
     the transposed form: both tableaux transposed-layer <=> both GFK-tight."""
-    res = CheckResult("general-equivalence")
-    for n in _sizes(max_n):
-        for p in all_permutations(n):
-            p_tab, q_tab = rsk(p)
-            q = inverse(p)
-            layered_form = (is_layered_tableau(p_tab) and is_layered_tableau(q_tab)) == (
-                greene.is_dually_gfk_tight(p) and greene.is_dually_gfk_tight(q)
-            )
-            transposed_form = (
-                satisfies_transposed_layer(p_tab) and satisfies_transposed_layer(q_tab)
-            ) == (greene.is_gfk_tight(p) and greene.is_gfk_tight(q))
-            res.expect(
-                layered_form and transposed_form,
-                f"two-sided characterization failed at {p}",
-            )
-    return res
+
+    def holds(p):
+        p_tab, q_tab = rsk(p)
+        q = inverse(p)
+        layered_form = (is_layered_tableau(p_tab) and is_layered_tableau(q_tab)) == (
+            greene.is_dually_gfk_tight(p) and greene.is_dually_gfk_tight(q)
+        )
+        transposed_form = (
+            satisfies_transposed_layer(p_tab) and satisfies_transposed_layer(q_tab)
+        ) == (greene.is_gfk_tight(p) and greene.is_gfk_tight(q))
+        return layered_form and transposed_form
+
+    return _check("general-equivalence", _upto(all_permutations, max_n), holds)
 
 
 def check_shape_jog_multisets(max_n: int = 7) -> CheckResult:
     """When p and its inverse are both GFK-tight, their jog lengths agree
     as multisets and match the row lengths of the common shape."""
-    res = CheckResult("shape-jog-multisets")
-    for n in _sizes(max_n):
-        for p in all_permutations(n):
-            q = inverse(p)
-            if not (greene.is_gfk_tight(p) and greene.is_gfk_tight(q)):
-                continue
-            rows = sorted(shape(rsk(p)[0]), reverse=True)
-            jp = sorted((j.length for j in jogs(p)), reverse=True)
-            jq = sorted((j.length for j in jogs(q)), reverse=True)
-            res.expect(jp == jq == rows, f"jog/shape multisets differ at {p}")
-    return res
+
+    def lengths(intervals):
+        return sorted((iv.length for iv in intervals), reverse=True)
+
+    return _check(
+        "shape-jog-multisets",
+        (
+            p
+            for p in _upto(all_permutations, max_n)
+            if greene.is_gfk_tight(p) and greene.is_gfk_tight(inverse(p))
+        ),
+        lambda p: lengths(jogs(p)) == lengths(jogs(inverse(p))) == sorted(
+            shape(rsk(p)[0]), reverse=True
+        ),
+    )
 
 
 def check_direct_gfk(max_n: int = 8) -> CheckResult:
     """The jog-reversal construction agrees with the insertion-based map on
     every GFK-tight involution."""
-    res = CheckResult("direct-gfk")
-    for n in _sizes(max_n):
-        for p in enumeration.involutions(n):
-            if not greene.is_gfk_tight(p):
-                continue
-            res.expect(
-                direct.f_gfk_tight_direct(p) == f_involution(p),
-                f"direct GFK construction disagrees at {format_permutation(p)}",
-            )
-    return res
+    return _check(
+        "direct-gfk",
+        filter(greene.is_gfk_tight, _upto(enumeration.involutions, max_n)),
+        lambda p: direct.f_gfk_tight_direct(p) == f_involution(p),
+    )
 
 
 def check_direct_123(max_n: int = 10) -> CheckResult:
     """The record-breaker construction agrees with the insertion-based map
     on every 123-avoiding involution."""
-    res = CheckResult("direct-123")
-    for n in _sizes(max_n):
-        for p in enumeration.involutions(n):
-            if not avoids(p, (1, 2, 3)):
-                continue
-            res.expect(
-                direct.f_123_avoiding_direct(p) == f_involution(p),
-                f"record-breaker construction disagrees at {format_permutation(p)}",
-            )
-    return res
+    return _check(
+        "direct-123",
+        (p for p in _upto(enumeration.involutions, max_n) if avoids(p, (1, 2, 3))),
+        lambda p: direct.f_123_avoiding_direct(p) == f_involution(p),
+    )
 
 
 def check_two_row_roundtrip(max_n: int = 10) -> CheckResult:
     """Direct two-row tableau of a 321-avoiding involution equals the
     insertion tableau, and peeling recovers the involution."""
-    res = CheckResult("two-row-roundtrip")
-    for n in _sizes(max_n):
-        for p in enumeration.involutions(n):
-            if not avoids(p, (3, 2, 1)):
-                continue
-            t = direct.tableau_of_321_avoiding(p)
-            res.expect(
-                t == tableau_of_involution(p)
-                and direct.recover_321_avoiding(t) == p,
-                f"two-row construction broke at {format_permutation(p)}",
-            )
-    return res
+    return _check(
+        "two-row-roundtrip",
+        (p for p in _upto(enumeration.involutions, max_n) if avoids(p, (3, 2, 1))),
+        lambda p: (t := direct.tableau_of_321_avoiding(p)) == tableau_of_involution(p)
+        and direct.recover_321_avoiding(t) == p,
+    )
 
 
 def check_shortcut(max_n: int = 8) -> CheckResult:
     """Reversal equals the tableau-transpose map whenever both p and its
     reverse are involutions."""
-    res = CheckResult("shortcut")
-    for n in _sizes(max_n):
-        for p in enumeration.involutions(n):
-            if not is_involution(reverse(p)):
-                continue
-            res.expect(
-                direct.f_rev_shortcut(p) == f_involution(p),
-                f"reversal shortcut disagrees at {format_permutation(p)}",
-            )
-    return res
+    return _check(
+        "shortcut",
+        (p for p in _upto(enumeration.involutions, max_n) if is_involution(reverse(p))),
+        lambda p: direct.f_rev_shortcut(p) == f_involution(p),
+    )
 
 
 # ----------------------------------------------------------- counting suite
@@ -381,89 +327,77 @@ def check_shortcut(max_n: int = 8) -> CheckResult:
 def check_formula_vs_scan(max_n: int = 7) -> CheckResult:
     """The partition formula reproduces the factorial-scan count of
     permutations that are dually GFK-tight together with their inverse."""
-    res = CheckResult("formula-vs-scan")
-    top = min(max_n, enumeration.BRUTE_COUNT_CAP)
-    for n in _sizes(top, start=1):
-        res.expect(
-            enumeration.count_A(n) == enumeration.brute_count_general(n),
-            f"formula and scan disagree at n={n}",
-        )
-    return res
+    return _check(
+        "formula-vs-scan",
+        range(1, min(max_n, enumeration.BRUTE_COUNT_CAP) + 1),
+        lambda n: enumeration.count_A(n) == enumeration.brute_count_general(n),
+    )
 
 
 def check_pairs_distinct(max_n: int = 7) -> CheckResult:
     """Tableau-pair generation yields count_A(n) pairwise distinct
     permutations, each dually GFK-tight along with its inverse."""
-    res = CheckResult("pairs-distinct")
-    for n in _sizes(max_n, start=1):
-        seen = list(enumeration.generalized_layered(n))
-        ok = len(seen) == len(set(seen)) == enumeration.count_A(n)
-        if n <= greene.oracle_cap():
-            ok = ok and all(
-                greene.is_dually_gfk_tight(p) and greene.is_dually_gfk_tight(inverse(p))
-                for p in seen
-            )
-        res.expect(ok, f"generated pair family wrong at n={n}")
-    return res
+
+    def tight_both_ways(p):
+        return greene.is_dually_gfk_tight(p) and greene.is_dually_gfk_tight(inverse(p))
+
+    return _check(
+        "pairs-distinct",
+        range(1, max_n + 1),
+        lambda n: _distinct_family(
+            enumeration.generalized_layered(n),
+            enumeration.count_A(n),
+            tight_both_ways if n <= greene.oracle_cap() else lambda _: True,
+        ),
+    )
 
 
 def check_composition_total(max_n: int = 12) -> CheckResult:
     """Compositions counted partition by partition total 2^(n-1)."""
-    res = CheckResult("composition-total")
-    for n in _sizes(max_n, start=1):
-        total = sum(enumeration.comp_count(h) for h in enumeration.partitions(n))
-        res.expect(total == 2 ** (n - 1), f"composition total off at n={n}")
-    return res
+    return _check(
+        "composition-total",
+        range(1, max_n + 1),
+        lambda n: sum(enumeration.comp_count(h) for h in enumeration.partitions(n)) == 2 ** (n - 1),
+    )
 
 
 def check_exponential_bounds(max_n: int = 12) -> CheckResult:
     """p(n) * A_n >= 4^(n-1) and A_n <= 4^(n-1), in exact integers."""
-    res = CheckResult("exponential-bounds")
-    for n in _sizes(max_n, start=1):
-        res.expect(enumeration.verify_bounds(n), f"bounds fail at n={n}")
-    return res
+    return _check("exponential-bounds", range(1, max_n + 1), enumeration.verify_bounds)
 
 
 def check_partition_recurrence(max_n: int = 12) -> CheckResult:
     """The pentagonal recurrence agrees with the partition generator."""
-    res = CheckResult("partition-recurrence")
-    for n in _sizes(max_n):
-        stream = list(enumeration.partitions(n))
-        res.expect(
-            enumeration.partition_count(n) == len(stream) == len(set(stream)),
-            f"partition count mismatch at n={n}",
-        )
-    return res
+    return _check(
+        "partition-recurrence",
+        range(max_n + 1),
+        lambda n: _distinct_family(enumeration.partitions(n), enumeration.partition_count(n)),
+    )
 
 
 def check_family_counts(max_n: int = 10) -> CheckResult:
     """Family generators emit the advertised numbers of distinct, valid
     members."""
-    res = CheckResult("family-counts")
-    for n in _sizes(max_n, start=1):
-        lay = list(enumeration.layered_permutations(n))
-        res.expect(
-            len(lay) == len(set(lay)) == 2 ** (n - 1) and all(is_layered(w) for w in lay),
-            f"layered permutation family wrong at n={n}",
-        )
-        tabs = list(enumeration.layered_tableaux(n))
-        res.expect(
-            len(tabs) == len(set(tabs)) == 2 ** (n - 1)
-            and all(tableaux.validate(t) and is_layered_tableau(t) for t in tabs),
-            f"layered tableau family wrong at n={n}",
-        )
-        invs = list(enumeration.involutions(n))
-        res.expect(
-            len(invs) == len(set(invs)) == enumeration.count_involutions(n)
-            and all(is_involution(p) for p in invs),
-            f"involution family wrong at n={n}",
-        )
-        res.expect(
-            sum(1 for _ in enumeration.standard_tableaux(n))
-            == enumeration.count_involutions(n),
-            f"tableau count differs from involution count at n={n}",
-        )
-    return res
+    families: dict[str, Callable[[int], bool]] = {
+        "layered permutations": lambda n: _distinct_family(
+            enumeration.layered_permutations(n), 2 ** (n - 1), is_layered
+        ),
+        "layered tableaux": lambda n: _distinct_family(
+            enumeration.layered_tableaux(n),
+            2 ** (n - 1),
+            lambda t: tableaux.validate(t) and is_layered_tableau(t),
+        ),
+        "involutions": lambda n: _distinct_family(
+            enumeration.involutions(n), enumeration.count_involutions(n), is_involution
+        ),
+        "standard tableaux": lambda n: sum(1 for _ in enumeration.standard_tableaux(n))
+        == enumeration.count_involutions(n),
+    }
+    return _check(
+        "family-counts",
+        ((family, n) for n in range(1, max_n + 1) for family in families),
+        lambda instance: families[instance[0]](instance[1]),
+    )
 
 
 SUITES: dict[str, list[Callable[..., CheckResult]]] = {

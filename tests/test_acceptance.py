@@ -104,13 +104,13 @@ def test_criterion_10_layer_transport_and_ascent_flip():
 
 
 def test_criterion_11_two_sided_characterization_and_count():
-    results = [verify.check_general_equivalence(7), verify.check_pairs_distinct(7)]
-    counts_ok = all(
-        enumeration.count_A(n) == enumeration.brute_count_general(n)
-        for n in range(1, 8)
-    )
+    results = [
+        verify.check_general_equivalence(7),
+        verify.check_pairs_distinct(7),
+        verify.check_formula_vs_scan(7),
+    ]
     spot_ok = enumeration.count_A(3) == 6 and enumeration.count_A(4) == 16
-    ok = all(res.ok for res in results) and counts_ok and spot_ok
+    ok = all(res.ok for res in results) and spot_ok
     _report(11, "two-sided characterization and counting formula", ok,
             f"{results[0].checked} permutations, formula vs scan n <= 7")
 
@@ -131,3 +131,11 @@ def test_criterion_12_direct_maps_agree():
 def test_criterion_13_exact_bounds():
     results = [verify.check_exponential_bounds(12), verify.check_composition_total(12)]
     _all_ok(13, "exponential-order bounds and composition totals", results)
+
+
+def test_failing_check_keeps_four_messages_and_a_suppression_note():
+    result = verify._check("demo", range(1, 8), lambda n: False)
+    assert result.checked == 7 and not result.ok
+    assert result.failures == [f"demo fails at n={n}" for n in range(1, 5)] + [
+        "... more failures suppressed"
+    ]

@@ -109,6 +109,12 @@ def test_oracle_cap_env(monkeypatch, capsys):
     assert run(["check", "1 2 3 4 5", "--prop", "gfk-tight"]) == 2
     _, err = out_of(capsys)
     assert "capped" in err
+    for bad in ("abc", "-3"):
+        monkeypatch.setenv("RSINV_MAX_N", bad)
+        assert run(["check", "123", "--prop", "gfk-tight"]) == 2
+        out, err = out_of(capsys)
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: RSINV_MAX_N") and repr(bad) in err
     monkeypatch.delenv("RSINV_MAX_N")
     assert run(["check", "1 2 3 4 5", "--prop", "gfk-tight"]) == 0
     capsys.readouterr()

@@ -17,12 +17,6 @@ from rsinv.errors import (
 )
 from rsinv.permutations import decreasing, identity
 from rsinv.rsk import f_involution, rsk
-from rsinv.verify import (
-    check_direct_123,
-    check_direct_gfk,
-    check_shortcut,
-    check_two_row_roundtrip,
-)
 
 
 def test_f_rev_shortcut():
@@ -101,23 +95,3 @@ def test_f_123_avoiding_direct_rejects():
         f_123_avoiding_direct((2, 3, 1))
     with pytest.raises(Not123Avoiding):
         f_123_avoiding_direct((1, 2, 3))
-
-
-def test_direct_gfk_agrees_with_rsk():
-    result = check_direct_gfk(8)
-    assert result.ok, result.failures
-
-
-def test_direct_123_agrees_with_rsk():
-    result = check_direct_123(10)
-    assert result.ok, result.failures
-
-
-def test_two_row_roundtrip():
-    result = check_two_row_roundtrip(10)
-    assert result.ok, result.failures
-
-
-def test_shortcut_agrees_with_rsk():
-    result = check_shortcut(8)
-    assert result.ok, result.failures

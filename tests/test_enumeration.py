@@ -21,11 +21,7 @@ from rsinv.errors import InstanceTooLarge
 from rsinv.permutations import is_involution, is_layered
 from rsinv.tableaux import is_layered_tableau, validate
 from rsinv.verify import (
-    check_composition_total,
-    check_exponential_bounds,
     check_family_counts,
-    check_general_equivalence,
-    check_pairs_distinct,
     check_partition_recurrence,
     check_shape_jog_multisets,
 )
@@ -65,11 +61,6 @@ def test_count_A():
     assert count_A(1) == 1
     assert count_A(3) == 6
     assert count_A(4) == 16
-
-
-def test_count_A_against_scan():
-    for n in range(1, 7):
-        assert count_A(n) == brute_count_general(n)
 
 
 def test_brute_count_examples():
@@ -126,8 +117,6 @@ def test_generalized_layered():
     assert list(generalized_layered(2)) == [(1, 2), (2, 1)]
     three = list(generalized_layered(3))
     assert len(three) == count_A(3) == 6
-    result = check_pairs_distinct(7)
-    assert result.ok, result.failures
 
 
 def test_family_counts_check():
@@ -140,20 +129,10 @@ def test_count_layered():
     assert count_layered(10) == 512
 
 
-def test_two_sided_characterization():
-    result = check_general_equivalence(7)
-    assert result.ok, result.failures
-
-
 def test_shape_jog_multisets():
     # when p and its inverse are both GFK-tight, jog lengths of either
     # match the row lengths of the common shape as multisets
     result = check_shape_jog_multisets(7)
-    assert result.ok, result.failures
-
-
-def test_composition_total_is_power_of_two():
-    result = check_composition_total(12)
     assert result.ok, result.failures
 
 
@@ -162,5 +141,3 @@ def test_verify_bounds():
     assert verify_bounds(4)
     assert partition_count(4) * count_A(4) == 5 * 16
     assert verify_bounds(12)
-    result = check_exponential_bounds(12)
-    assert result.ok, result.failures

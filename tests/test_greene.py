@@ -14,11 +14,8 @@ from rsinv.greene import (
 from rsinv.permutations import decreasing, identity
 from rsinv.verify import (
     check_jog_lower_bound,
-    check_layered_vs_dually_tight,
     check_profile_monotone,
     check_record_breaker_column,
-    check_shape_prefix_sums,
-    check_tight_vs_transposed_layer,
 )
 
 
@@ -96,21 +93,6 @@ def test_jog_lower_bound():
     assert result.ok, result.failures
 
 
-def test_shape_prefix_sums_agree_with_oracle():
-    result = check_shape_prefix_sums(7)
-    assert result.ok, result.failures
-
-
 def test_record_breakers_are_first_column():
     result = check_record_breaker_column(7)
-    assert result.ok, result.failures
-
-
-def test_layered_iff_dually_tight_involution():
-    result = check_layered_vs_dually_tight(8)
-    assert result.ok, result.failures
-
-
-def test_transposed_layer_iff_tight():
-    result = check_tight_vs_transposed_layer(8)
     assert result.ok, result.failures
