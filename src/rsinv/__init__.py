@@ -25,13 +25,7 @@ from .direct import (
     recover_321_avoiding,
     tableau_of_321_avoiding,
 )
-from .greene import (
-    is_dually_gfk_tight,
-    is_gfk_tight,
-    longest_k_decreasing,
-    longest_k_increasing,
-    record_breakers,
-)
+from .greene import longest_k_decreasing, longest_k_increasing, record_breakers
 from .permutations import (
     EntryClassification,
     Interval,
@@ -50,7 +44,15 @@ from .permutations import (
     reverse,
     reverse_jogs,
 )
-from .rsk import f_involution, inverse_rsk, row_insert, rsk, tableau_of_involution
+from .insertion import (
+    f_involution,
+    inverse_rsk,
+    is_dually_gfk_tight,
+    is_gfk_tight,
+    row_insert,
+    rsk,
+    tableau_of_involution,
+)
 from .tableaux import (
     Shape,
     Tableau,

@@ -1,18 +1,21 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 when a check or verification reports false or
-fails, 2 on usage or domain errors.  Permutations always print in the
-whitespace format so outputs stay unambiguous for n >= 10; tableaux print
-in the single-line JSON format.
+fails, 2 on usage or domain errors, and 141 (128 + SIGPIPE, as a shell
+tool killed by a closed pipe), with nothing on stderr, when the reader of
+stdout goes away early, as in ``rsinv enumerate ... | head -1``.
+Permutations always print in the whitespace format so outputs stay
+unambiguous for n >= 10; tableaux print in the single-line JSON format.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
-from . import enumeration, greene, verify
+from . import enumeration, verify
 from .direct import (
     f_123_avoiding_direct,
     f_gfk_tight_direct,
@@ -20,6 +23,15 @@ from .direct import (
     tableau_of_321_avoiding,
 )
 from .errors import DomainError
+from .greene import longest_decreasing
+from .insertion import (
+    f_involution,
+    inverse_rsk,
+    is_dually_gfk_tight,
+    is_gfk_tight,
+    rsk,
+    tableau_of_involution,
+)
 from .permutations import (
     Perm,
     avoids,
@@ -27,11 +39,14 @@ from .permutations import (
     is_involution,
     is_layered,
     parse_permutation,
+    reverse,
 )
-from .rsk import f_involution, inverse_rsk, rsk, tableau_of_involution
 from .tableaux import satisfies_transposed_layer, tableau_from_json, tableau_to_json
 
 PROPS = ("layered", "involution", "gfk-tight", "dually-gfk-tight", "transposed-layer")
+
+#: exit code when stdout's reader has gone away
+EXIT_BROKEN_PIPE = 128 + 13
 
 
 def _print_tableau(label: str, t) -> None:
@@ -76,9 +91,9 @@ def _f_methods(p: Perm, method: str) -> dict[str, Perm]:
             results["shortcut"] = f_rev_shortcut(p)
     if method in ("direct", "all"):
         applicable: dict[str, Perm] = {}
-        if len(p) <= greene.oracle_cap() and is_involution(p) and greene.is_gfk_tight(p):
+        if is_involution(p) and is_gfk_tight(p):
             applicable["direct-gfk"] = f_gfk_tight_direct(p)
-        if is_involution(p) and avoids(p, (1, 2, 3)):
+        if is_involution(p) and longest_decreasing(reverse(p)) <= 2:
             applicable["direct-123"] = f_123_avoiding_direct(p)
         if method == "direct" and not applicable:
             raise DomainError(
@@ -108,7 +123,7 @@ def _cmd_tableau(args) -> int:
     if args.method in ("rsk", "all"):
         results["rsk"] = tableau_of_involution(p)
     if args.method == "direct" or (
-        args.method == "all" and is_involution(p) and avoids(p, (3, 2, 1))
+        args.method == "all" and is_involution(p) and longest_decreasing(p) <= 2
     ):
         results["direct"] = tableau_of_321_avoiding(p)
     values = set(results.values())
@@ -134,9 +149,9 @@ def _cmd_check(args) -> int:
     elif prop == "involution":
         value = is_involution(p)
     elif prop == "gfk-tight":
-        value = greene.is_gfk_tight(p)
+        value = is_gfk_tight(p)
     elif prop == "dually-gfk-tight":
-        value = greene.is_dually_gfk_tight(p)
+        value = is_dually_gfk_tight(p)
     elif prop == "transposed-layer":
         value = satisfies_transposed_layer(tableau_of_involution(p))
     elif prop.startswith("avoids:"):
@@ -268,16 +283,24 @@ def run(argv: Sequence[str]) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except BrokenPipeError:
+        return EXIT_BROKEN_PIPE
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = EXIT_BROKEN_PIPE
+    if code == EXIT_BROKEN_PIPE:
+        # Nothing reads stdout any more: point it at devnull so that the
+        # flush at interpreter exit cannot fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

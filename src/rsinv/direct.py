@@ -3,7 +3,11 @@ avoid running the Robinson-Schensted correspondence.
 
 Each function carries the contract that it agrees with the corresponding
 insertion-based computation on its stated domain; the test suite checks
-those contracts exhaustively at small sizes.
+those contracts exhaustively at small sizes.  Every precondition is
+decided in polynomial time: GFK-tightness by Greene's theorem
+(``rsinv.insertion.is_gfk_tight``), and 321-avoidance (123-avoidance) by
+a longest decreasing subsequence of p (of its reversed word) of length at
+most 2.
 """
 from __future__ import annotations
 
@@ -18,16 +22,9 @@ from .errors import (
     ShortcutInapplicable,
     TooManyRows,
 )
-from .greene import is_gfk_tight, record_breakers
-from .permutations import (
-    Perm,
-    check_permutation,
-    classify_entries,
-    contains_pattern,
-    is_involution,
-    jogs,
-    reverse,
-)
+from .greene import longest_decreasing, record_breakers
+from .insertion import is_gfk_tight
+from .permutations import Perm, check_permutation, classify_entries, is_involution, jogs, reverse
 from .tableaux import Tableau, as_tableau, validate
 
 
@@ -76,7 +73,7 @@ def tableau_of_321_avoiding(p: Sequence[int]) -> Tableau:
     p = check_permutation(p)
     if not is_involution(p):
         raise NotInvolution(f"not an involution: {p}")
-    if contains_pattern(p, (3, 2, 1)):
+    if longest_decreasing(p) > 2:
         raise Not321Avoiding(f"contains 321: {p}")
     fixed, small, large = classify_entries(p)
     rows = [sorted(fixed | small)]
@@ -131,7 +128,7 @@ def f_123_avoiding_direct(p: Sequence[int]) -> Perm:
     p = check_permutation(p)
     if not is_involution(p):
         raise NotInvolution(f"not an involution: {p}")
-    if contains_pattern(p, (1, 2, 3)):
+    if longest_decreasing(reverse(p)) > 2:
         raise Not123Avoiding(f"contains 123: {p}")
     breakers = record_breakers(p)
     rows = [sorted(breakers)]

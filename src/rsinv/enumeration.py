@@ -13,9 +13,9 @@ from math import factorial
 from typing import Iterator, Sequence
 
 from .errors import InstanceTooLarge
-from .greene import env_cap, is_dually_gfk_tight
+from .greene import env_cap, oracle_is_dually_gfk_tight
+from .insertion import inverse_rsk
 from .permutations import Perm, inverse
-from .rsk import inverse_rsk
 from .tableaux import Shape, Tableau, as_tableau
 from .tableaux import shape as shape_of
 
@@ -274,7 +274,7 @@ def brute_count_general(n: int) -> int:
         raise InstanceTooLarge(f"factorial scan capped at n <= {cap}, got {n}")
     count = 0
     for p in _symmetric_group(range(1, n + 1)):
-        if is_dually_gfk_tight(p) and is_dually_gfk_tight(inverse(p)):
+        if oracle_is_dually_gfk_tight(p) and oracle_is_dually_gfk_tight(inverse(p)):
             count += 1
     return count
 

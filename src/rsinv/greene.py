@@ -1,17 +1,20 @@
-"""Brute-force oracle for longest k-increasing / k-decreasing subsequences
-and the GFK-tightness predicates.
+"""Brute-force oracle for longest k-increasing / k-decreasing subsequences,
+the GFK-tightness predicates it decides, and the prefix dynamic program
+for longest decreasing subsequences.
 
 A k-increasing subsequence is a union of k increasing subsequences; by
 Dilworth's theorem a position subset qualifies exactly when its induced
 subsequence has no decreasing subsequence of length k+1.  The oracle
 maximizes the subset size over all 2^n subsets, which is deliberately
-independent of the Robinson-Schensted machinery so the two can be tested
-against each other.  The scan walks the inclusion/exclusion tree once per
-permutation and records the best size for every k simultaneously, so a
-full profile costs O(2^n * n); profiles are cached per permutation.
-The k-decreasing profile and dual tightness of p are the k-increasing
-profile and tightness of the reversed word, so one scan and one cache
-serve both sides.
+independent of the Robinson-Schensted machinery: nothing here imports
+``rsinv.insertion``, whose Greene-theorem predicates this module checks.
+The scan walks the inclusion/exclusion tree once per permutation and
+records the best size for every k simultaneously, so a full profile costs
+O(2^n * n); profiles are cached per permutation, and every call checks
+the size cap (16, lowered by RSINV_MAX_N) before the cache.  The
+k-decreasing profile and dual tightness of p are the k-increasing profile
+and tightness of the reversed word, so one scan and one cache serve both
+sides.
 """
 from __future__ import annotations
 
@@ -40,12 +43,6 @@ def env_cap(cap: int) -> int:
 def oracle_cap() -> int:
     """Effective oracle cap, lowered by RSINV_MAX_N."""
     return env_cap(ORACLE_CAP)
-
-
-def _check_cap(n: int) -> None:
-    cap = oracle_cap()
-    if n > cap:
-        raise InstanceTooLarge(f"subset oracle capped at n <= {cap}, got {n}")
 
 
 def _subset_profile(values: tuple[int, ...]) -> tuple[int, ...]:
@@ -78,10 +75,17 @@ def _subset_profile(values: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def k_increasing_profile(p: tuple[int, ...]) -> tuple[int, ...]:
-    """profile[k] = length of the longest k-increasing subsequence, k = 0..n."""
-    _check_cap(len(p))
-    return _subset_profile(p)
+def _cached_profile(values: tuple[int, ...]) -> tuple[int, ...]:
+    return _subset_profile(values)
+
+
+def k_increasing_profile(p: Sequence[int]) -> tuple[int, ...]:
+    """profile[k] = length of the longest k-increasing subsequence, k = 0..n.
+    Raises InstanceTooLarge past the oracle cap, cached or not."""
+    cap = oracle_cap()
+    if len(p) > cap:
+        raise InstanceTooLarge(f"subset oracle capped at n <= {cap}, got {len(p)}")
+    return _cached_profile(tuple(p))
 
 
 def k_decreasing_profile(p: Sequence[int]) -> tuple[int, ...]:
@@ -101,9 +105,7 @@ def longest_k_increasing(p: Sequence[int], k: int) -> int:
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    _check_cap(len(p))
-    profile = k_increasing_profile(tuple(p))
-    return profile[min(k, len(p))]
+    return k_increasing_profile(p)[min(k, len(p))]
 
 
 def longest_k_decreasing(p: Sequence[int], k: int) -> int:
@@ -122,23 +124,21 @@ def _tight_against(profile: tuple[int, ...], intervals: list[Interval]) -> bool:
     return True
 
 
-def is_gfk_tight(p: Sequence[int]) -> bool:
+def oracle_is_gfk_tight(p: Sequence[int]) -> bool:
     """
     True iff for every k up to the number of jogs, the k longest jogs
-    jointly realize the longest k-increasing subsequence length.  Beyond
-    that k both sides equal n, so the quantifier stops there.
+    jointly realize the oracle's longest k-increasing subsequence length.
+    Beyond that k both sides equal n, so the quantifier stops there.
     """
-    p = tuple(p)
-    _check_cap(len(p))
     return _tight_against(k_increasing_profile(p), jogs(p))
 
 
-def is_dually_gfk_tight(p: Sequence[int]) -> bool:
+def oracle_is_dually_gfk_tight(p: Sequence[int]) -> bool:
     """True iff the k longest reverse jogs realize the longest k-decreasing
     subsequence length for every k up to the number of reverse jogs: the
     reverse jogs of p are the jogs of its reversed word, so this is
-    is_gfk_tight of that word."""
-    return is_gfk_tight(reverse(p))
+    oracle_is_gfk_tight of that word."""
+    return oracle_is_gfk_tight(reverse(p))
 
 
 def prefix_lds_lengths(p: Sequence[int]) -> list[int]:
@@ -153,6 +153,19 @@ def prefix_lds_lengths(p: Sequence[int]) -> list[int]:
         running = max(running, e)
         out.append(running)
     return out
+
+
+def longest_decreasing(p: Sequence[int]) -> int:
+    """
+    Length of the longest strictly decreasing subsequence of p; 0 for the
+    empty word.  p avoids 321 exactly when this is at most 2, and avoids
+    123 exactly when the same holds for the reversed word.
+
+    >>> longest_decreasing((6, 5, 7, 4, 2, 1, 3)), longest_decreasing(())
+    (5, 0)
+    """
+    prefix = prefix_lds_lengths(p)
+    return prefix[-1] if prefix else 0
 
 
 def record_breakers(p: Sequence[int]) -> set[int]:

@@ -1,11 +1,19 @@
 """Row insertion, the Robinson-Schensted correspondence and its inverse,
-and the tableau-transpose involution on involutions.
+the tableau-transpose involution on involutions, and the GFK-tightness
+predicates read off the insertion shape.
 
 ``rsk`` maps a permutation p to the pair (P, Q): P is built by Schensted
 row insertion of p's entries in position order, Q records in which cell
 each insertion step ended.  Involutions are exactly the permutations with
 P = Q, so transposing that common tableau and running the inverse
 correspondence defines an involution ``f_involution`` on involutions.
+
+By Greene's theorem the first k rows of P(p) hold as many entries as the
+longest k-increasing subsequence of p, so GFK-tightness (the k longest
+jogs realize that length for every k) is the statement that the jog
+lengths, longest first, are the row lengths of P(p).  These predicates
+answer in polynomial time; ``rsinv.greene`` holds the subset oracle that
+checks them without insertion.
 """
 from __future__ import annotations
 
@@ -14,7 +22,7 @@ from typing import Sequence
 
 from . import tableaux
 from .errors import DuplicateEntry, InvalidTableau, NotInvolution, ShapeMismatch
-from .permutations import Perm, check_permutation, is_involution
+from .permutations import Perm, check_permutation, is_involution, jogs, reverse
 from .tableaux import Tableau
 
 
@@ -118,3 +126,23 @@ def f_involution(p: Sequence[int]) -> Perm:
     """
     flipped = tableaux.transpose(tableau_of_involution(p))
     return inverse_rsk((flipped, flipped))
+
+
+def is_gfk_tight(p: Sequence[int]) -> bool:
+    """
+    True iff for every k the k longest jogs of p jointly realize the
+    longest k-increasing subsequence length: by Greene's theorem, iff the
+    jog lengths, longest first, are the row lengths of P(p).
+
+    >>> is_gfk_tight((6, 7, 3, 4, 8, 1, 2, 5, 9)), is_gfk_tight((1, 3, 4, 2))
+    (True, False)
+    """
+    rows = tableaux.shape(rsk(p)[0])
+    return tuple(sorted((iv.length for iv in jogs(p)), reverse=True)) == rows
+
+
+def is_dually_gfk_tight(p: Sequence[int]) -> bool:
+    """True iff the k longest reverse jogs realize the longest k-decreasing
+    subsequence length for every k: the reverse jogs of p are the jogs of
+    its reversed word, so this is is_gfk_tight of that word."""
+    return is_gfk_tight(reverse(p))

@@ -3,7 +3,10 @@ or tableau) up to a size bound.
 
 Each check names a stream of instances and a predicate that must hold on
 every one of them; ``_check`` walks the stream, counts instances, and
-collects counterexamples.  Suites bundle related checks.  The CLI exposes
+collects counterexamples.  GFK-tightness is decided here by the subset
+oracle of ``rsinv.greene`` and pattern avoidance by the pattern scan, both
+independent of insertion, so the checks test the insertion-based answers
+rather than repeat them.  Suites bundle related checks.  The CLI exposes
 them so the whole battery can be reproduced without a test runner, and the
 test suite asserts them at the sizes fixed in tests/test_acceptance.py.
 """
@@ -14,7 +17,8 @@ from itertools import accumulate, chain
 from typing import Any, Callable, Iterable, Iterator
 
 from . import direct, enumeration, greene, permutations, tableaux
-from .rsk import f_involution, inverse_rsk, rsk, tableau_of_involution
+from .errors import InstanceTooLarge
+from .insertion import f_involution, inverse_rsk, is_gfk_tight, rsk, tableau_of_involution
 from .permutations import (
     all_permutations,
     avoids,
@@ -49,17 +53,35 @@ class CheckResult:
         return not self.failures
 
 
-def _check(name: str, instances: Iterable[Any], holds: Callable[[Any], bool]) -> CheckResult:
-    """Count every instance and keep a message for each one where ``holds``
-    is false; past MAX_FAILURES_KEPT messages the last one becomes a note
-    that more were suppressed.  An int instance is a size n."""
+def _check(
+    name: str,
+    instances: Iterable[Any],
+    holds: Callable[[Any], bool],
+    where: Callable[[Any], bool] = lambda _: True,
+) -> CheckResult:
+    """Count every instance for which ``where`` is true and keep a message
+    for each one where ``holds`` is false; past MAX_FAILURES_KEPT messages
+    the last one becomes a note that more were suppressed.  An instance
+    over a brute-force cap is not counted: it stops the check with a last
+    message naming the cap.  An int instance is a size n."""
+
+    def label(x):
+        return f"n={x}" if isinstance(x, int) else x
+
     res = CheckResult(name)
     for x in instances:
+        try:
+            if not where(x):
+                continue
+            ok = holds(x)
+        except InstanceTooLarge as exc:
+            res.failures.append(f"{name} stops at {label(x)}: {exc}")
+            break
         res.checked += 1
-        if holds(x):
+        if ok:
             continue
         if len(res.failures) < MAX_FAILURES_KEPT:
-            res.failures.append(f"{name} fails at {f'n={x}' if isinstance(x, int) else x}")
+            res.failures.append(f"{name} fails at {label(x)}")
         else:
             res.failures[-1] = "... more failures suppressed"
     return res
@@ -152,7 +174,7 @@ def check_profile_monotone(max_n: int = 7) -> CheckResult:
     def holds(p):
         n = len(p)
         inc = greene.k_increasing_profile(p)
-        lds = greene.prefix_lds_lengths(p)[-1] if n else 0
+        lds = greene.longest_decreasing(p)
         return all(inc[k - 1] <= inc[k] <= n for k in range(1, n + 1)) and all(
             inc[k] == n for k in range(lds, n + 1)
         )
@@ -206,7 +228,9 @@ def check_tight_vs_transposed_layer(max_n: int = 8) -> CheckResult:
     return _check(
         "tight-vs-transposed-layer",
         _upto(enumeration.involutions, max_n),
-        lambda p: satisfies_transposed_layer(tableau_of_involution(p)) == greene.is_gfk_tight(p),
+        lambda p: satisfies_transposed_layer(tableau_of_involution(p))
+        == greene.oracle_is_gfk_tight(p)
+        == is_gfk_tight(p),
     )
 
 
@@ -216,7 +240,7 @@ def check_layered_vs_dually_tight(max_n: int = 8) -> CheckResult:
     return _check(
         "layered-vs-dually-tight",
         _upto(all_permutations, max_n),
-        lambda p: is_layered(p) == (is_involution(p) and greene.is_dually_gfk_tight(p)),
+        lambda p: is_layered(p) == (is_involution(p) and greene.oracle_is_dually_gfk_tight(p)),
     )
 
 
@@ -250,11 +274,11 @@ def check_general_equivalence(max_n: int = 7) -> CheckResult:
         p_tab, q_tab = rsk(p)
         q = inverse(p)
         layered_form = (is_layered_tableau(p_tab) and is_layered_tableau(q_tab)) == (
-            greene.is_dually_gfk_tight(p) and greene.is_dually_gfk_tight(q)
+            greene.oracle_is_dually_gfk_tight(p) and greene.oracle_is_dually_gfk_tight(q)
         )
         transposed_form = (
             satisfies_transposed_layer(p_tab) and satisfies_transposed_layer(q_tab)
-        ) == (greene.is_gfk_tight(p) and greene.is_gfk_tight(q))
+        ) == (greene.oracle_is_gfk_tight(p) and greene.oracle_is_gfk_tight(q))
         return layered_form and transposed_form
 
     return _check("general-equivalence", _upto(all_permutations, max_n), holds)
@@ -267,16 +291,16 @@ def check_shape_jog_multisets(max_n: int = 7) -> CheckResult:
     def lengths(intervals):
         return sorted((iv.length for iv in intervals), reverse=True)
 
+    def tight_both_ways(p):
+        return greene.oracle_is_gfk_tight(p) and greene.oracle_is_gfk_tight(inverse(p))
+
     return _check(
         "shape-jog-multisets",
-        (
-            p
-            for p in _upto(all_permutations, max_n)
-            if greene.is_gfk_tight(p) and greene.is_gfk_tight(inverse(p))
-        ),
+        _upto(all_permutations, max_n),
         lambda p: lengths(jogs(p)) == lengths(jogs(inverse(p))) == sorted(
             shape(rsk(p)[0]), reverse=True
         ),
+        where=tight_both_ways,
     )
 
 
@@ -285,8 +309,9 @@ def check_direct_gfk(max_n: int = 8) -> CheckResult:
     every GFK-tight involution."""
     return _check(
         "direct-gfk",
-        filter(greene.is_gfk_tight, _upto(enumeration.involutions, max_n)),
+        _upto(enumeration.involutions, max_n),
         lambda p: direct.f_gfk_tight_direct(p) == f_involution(p),
+        where=greene.oracle_is_gfk_tight,
     )
 
 
@@ -295,8 +320,9 @@ def check_direct_123(max_n: int = 10) -> CheckResult:
     on every 123-avoiding involution."""
     return _check(
         "direct-123",
-        (p for p in _upto(enumeration.involutions, max_n) if avoids(p, (1, 2, 3))),
+        _upto(enumeration.involutions, max_n),
         lambda p: direct.f_123_avoiding_direct(p) == f_involution(p),
+        where=lambda p: avoids(p, (1, 2, 3)),
     )
 
 
@@ -305,9 +331,10 @@ def check_two_row_roundtrip(max_n: int = 10) -> CheckResult:
     insertion tableau, and peeling recovers the involution."""
     return _check(
         "two-row-roundtrip",
-        (p for p in _upto(enumeration.involutions, max_n) if avoids(p, (3, 2, 1))),
+        _upto(enumeration.involutions, max_n),
         lambda p: (t := direct.tableau_of_321_avoiding(p)) == tableau_of_involution(p)
         and direct.recover_321_avoiding(t) == p,
+        where=lambda p: avoids(p, (3, 2, 1)),
     )
 
 
@@ -316,8 +343,9 @@ def check_shortcut(max_n: int = 8) -> CheckResult:
     reverse are involutions."""
     return _check(
         "shortcut",
-        (p for p in _upto(enumeration.involutions, max_n) if is_involution(reverse(p))),
+        _upto(enumeration.involutions, max_n),
         lambda p: direct.f_rev_shortcut(p) == f_involution(p),
+        where=lambda p: is_involution(reverse(p)),
     )
 
 
@@ -339,7 +367,8 @@ def check_pairs_distinct(max_n: int = 7) -> CheckResult:
     permutations, each dually GFK-tight along with its inverse."""
 
     def tight_both_ways(p):
-        return greene.is_dually_gfk_tight(p) and greene.is_dually_gfk_tight(inverse(p))
+        tight = greene.oracle_is_dually_gfk_tight
+        return tight(p) and tight(inverse(p))
 
     return _check(
         "pairs-distinct",
@@ -347,7 +376,7 @@ def check_pairs_distinct(max_n: int = 7) -> CheckResult:
         lambda n: _distinct_family(
             enumeration.generalized_layered(n),
             enumeration.count_A(n),
-            tight_both_ways if n <= greene.oracle_cap() else lambda _: True,
+            tight_both_ways,
         ),
     )
 
@@ -445,6 +474,3 @@ def run_suite(name: str, max_n: int | None = None) -> list[CheckResult]:
         results.append(check() if max_n is None else check(max_n))
     return results
 
-
-def run_suites(names: Iterable[str], max_n: int | None = None) -> dict[str, list[CheckResult]]:
-    return {name: run_suite(name, max_n) for name in names}

@@ -9,8 +9,9 @@ from math import factorial
 
 from rsinv import enumeration, verify
 from rsinv.direct import recover_321_avoiding
+from rsinv.errors import InstanceTooLarge
 from rsinv.greene import record_breakers
-from rsinv.rsk import f_involution, rsk
+from rsinv.insertion import f_involution, rsk
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -131,6 +132,17 @@ def test_criterion_12_direct_maps_agree():
 def test_criterion_13_exact_bounds():
     results = [verify.check_exponential_bounds(12), verify.check_composition_total(12)]
     _all_ok(13, "exponential-order bounds and composition totals", results)
+
+
+def test_instance_over_a_cap_stops_the_check_uncounted():
+    def holds(n):
+        if n == 5:
+            raise InstanceTooLarge("capped at n <= 4, got 5")
+        return n != 2
+
+    result = verify._check("demo", range(1, 8), holds)
+    assert result.checked == 4
+    assert result.failures == ["demo fails at n=2", "demo stops at n=5: capped at n <= 4, got 5"]
 
 
 def test_failing_check_keeps_four_messages_and_a_suppression_note():

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import rsinv
 from rsinv.cli import run
-from rsinv.enumeration import involutions
-from rsinv.permutations import format_permutation
+from rsinv.enumeration import involutions, layered_from_composition
+from rsinv.permutations import decreasing, format_permutation
 
 
 def out_of(capsys):
@@ -105,19 +109,76 @@ def test_tableau_direct_needs_321_avoidance(capsys):
 
 
 def test_oracle_cap_env(monkeypatch, capsys):
+    monkeypatch.setenv("RSINV_MAX_N", "6")
+    assert run(["verify", "--suite", "greene"]) == 1
+    out, err = out_of(capsys)
+    assert err == ""
+    assert out.splitlines() == [
+        "greene/shape-prefix-sums: FAIL (874 instances)",
+        "  shape-prefix-sums stops at (1, 2, 3, 4, 5, 6, 7): subset oracle capped at n <= 6, got 7",
+        "greene/profile-monotone: FAIL (874 instances)",
+        "  profile-monotone stops at (1, 2, 3, 4, 5, 6, 7): subset oracle capped at n <= 6, got 7",
+        "greene/jog-lower-bound: FAIL (874 instances)",
+        "  jog-lower-bound stops at (1, 2, 3, 4, 5, 6, 7): subset oracle capped at n <= 6, got 7",
+        "greene/record-breaker-column: PASS (5914 instances)",
+        "greene: FAIL (8536 instances)",
+    ]
     monkeypatch.setenv("RSINV_MAX_N", "4")
-    assert run(["check", "1 2 3 4 5", "--prop", "gfk-tight"]) == 2
-    _, err = out_of(capsys)
-    assert "capped" in err
+    assert run(["verify", "--suite", "counting", "--max-n", "6"]) == 1
+    out, _ = out_of(capsys)
+    lines = out.splitlines()
+    assert "counting/formula-vs-scan: FAIL (4 instances)" in lines
+    assert "  formula-vs-scan stops at n=5: factorial scan capped at n <= 4, got 5" in lines
+    assert "  pairs-distinct stops at n=5: subset oracle capped at n <= 4, got 5" in lines
+    assert "counting/composition-total: PASS (6 instances)" in lines
+    # the answering paths no longer read the cap
+    assert run(["check", "1 2 3 4 5", "--prop", "gfk-tight"]) == 0
+    capsys.readouterr()
     for bad in ("abc", "-3"):
         monkeypatch.setenv("RSINV_MAX_N", bad)
-        assert run(["check", "123", "--prop", "gfk-tight"]) == 2
+        assert run(["verify", "--suite", "counting", "--max-n", "3"]) == 2
         out, err = out_of(capsys)
         assert out == "" and err.count("\n") == 1
         assert err.startswith("error: RSINV_MAX_N") and repr(bad) in err
     monkeypatch.delenv("RSINV_MAX_N")
-    assert run(["check", "1 2 3 4 5", "--prop", "gfk-tight"]) == 0
+    assert run(["verify", "--suite", "counting", "--max-n", "6"]) == 0
     capsys.readouterr()
+
+
+def test_tightness_and_direct_past_the_oracle_cap(capsys):
+    layered = format_permutation(layered_from_composition((120, 1, 60, 119)))
+    assert run(["check", layered, "--prop", "dually-gfk-tight"]) == 0
+    assert run(["check", layered, "--prop", "gfk-tight"]) == 1
+    out, _ = out_of(capsys)
+    assert out == "true\nfalse\n"
+    word = format_permutation(decreasing(300))
+    assert run(["f", word, "--method", "direct"]) == 0
+    direct, _ = out_of(capsys)
+    assert run(["f", word, "--method", "rsk"]) == 0
+    by_insertion, _ = out_of(capsys)
+    assert direct == by_insertion == format_permutation(range(1, 301)) + "\n"
+
+
+def test_broken_pipe_exits_141_quietly():
+    # the child imports rsinv from where this process found it
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rsinv.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rsinv.cli", "enumerate", "--family", "layered", "--n", "30"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err = proc.stderr.read()
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert first == (" ".join(map(str, range(1, 31))) + "\n").encode()
+    assert code == 141 and err == b""
 
 
 def test_check_properties(capsys):

@@ -16,7 +16,7 @@ from rsinv.errors import (
     TooManyRows,
 )
 from rsinv.permutations import decreasing, identity
-from rsinv.rsk import f_involution, rsk
+from rsinv.insertion import f_involution, rsk
 
 
 def test_f_rev_shortcut():

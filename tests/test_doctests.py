@@ -6,7 +6,7 @@ import pytest
 MODULES = [
     "rsinv.permutations",
     "rsinv.tableaux",
-    "rsinv.rsk",
+    "rsinv.insertion",
     "rsinv.greene",
     "rsinv.direct",
     "rsinv.enumeration",

@@ -1,17 +1,20 @@
 import pytest
 
-from rsinv.errors import InstanceTooLarge
+from rsinv.enumeration import brute_count_general
+from rsinv.errors import DomainError, InstanceTooLarge
 from rsinv.greene import (
-    is_dually_gfk_tight,
-    is_gfk_tight,
     k_decreasing_profile,
     k_increasing_profile,
+    longest_decreasing,
     longest_k_decreasing,
     longest_k_increasing,
+    oracle_is_dually_gfk_tight,
+    oracle_is_gfk_tight,
     prefix_lds_lengths,
     record_breakers,
 )
-from rsinv.permutations import decreasing, identity
+from rsinv.insertion import is_dually_gfk_tight, is_gfk_tight
+from rsinv.permutations import all_permutations, contains_pattern, decreasing, identity, reverse
 from rsinv.verify import (
     check_jog_lower_bound,
     check_profile_monotone,
@@ -51,25 +54,59 @@ def test_k_must_be_positive():
         longest_k_increasing((1, 2), 0)
 
 
-def test_oracle_cap():
+def test_oracle_cap(monkeypatch):
+    for call in (
+        lambda p: longest_k_increasing(p, 1),
+        oracle_is_gfk_tight,
+        oracle_is_dually_gfk_tight,
+    ):
+        with pytest.raises(InstanceTooLarge):
+            call(identity(17))
     with pytest.raises(InstanceTooLarge):
-        longest_k_increasing(tuple(range(1, 18)), 1)
+        brute_count_general(9)
+    monkeypatch.setenv("RSINV_MAX_N", "4")
     with pytest.raises(InstanceTooLarge):
-        is_gfk_tight(tuple(range(1, 18)))
+        brute_count_general(5)
+    assert brute_count_general(4) == 16
+
+
+def test_oracle_cap_is_checked_on_cache_hits(monkeypatch):
+    p = (2, 4, 1, 5, 3)
+    assert k_increasing_profile(p) == (0, 3, 5, 5, 5, 5)
+    assert k_increasing_profile(p) == (0, 3, 5, 5, 5, 5)  # now a cache hit
+    monkeypatch.setenv("RSINV_MAX_N", "4")
+    with pytest.raises(InstanceTooLarge):
+        k_increasing_profile(p)
+    with pytest.raises(InstanceTooLarge):
+        oracle_is_gfk_tight(p)
+    monkeypatch.setenv("RSINV_MAX_N", "abc")
+    with pytest.raises(DomainError, match="RSINV_MAX_N"):
+        longest_k_increasing(p, 2)
 
 
 def test_is_gfk_tight_examples():
-    assert is_gfk_tight((6, 7, 3, 4, 8, 1, 2, 5, 9))
-    assert is_gfk_tight((1, 4, 2, 3))
-    assert not is_gfk_tight((1, 3, 4, 2))
-    assert is_gfk_tight(identity(7))
-    assert is_gfk_tight(())
+    for tight in (is_gfk_tight, oracle_is_gfk_tight):
+        assert tight((6, 7, 3, 4, 8, 1, 2, 5, 9))
+        assert tight((1, 4, 2, 3))
+        assert not tight((1, 3, 4, 2))
+        assert tight(identity(7))
+        assert tight(())
 
 
 def test_is_dually_gfk_tight_examples():
-    assert is_dually_gfk_tight((2, 1, 5, 4, 3, 9, 8, 7, 6))
-    assert not is_dually_gfk_tight((4, 2, 3, 1))
-    assert is_dually_gfk_tight(identity(7))
+    for tight in (is_dually_gfk_tight, oracle_is_dually_gfk_tight):
+        assert tight((2, 1, 5, 4, 3, 9, 8, 7, 6))
+        assert not tight((4, 2, 3, 1))
+        assert tight(identity(7))
+
+
+def test_fast_predicates_agree_with_oracle_and_pattern_scan():
+    for n in range(7):
+        for p in all_permutations(n):
+            assert is_gfk_tight(p) == oracle_is_gfk_tight(p), p
+            assert is_dually_gfk_tight(p) == oracle_is_dually_gfk_tight(p), p
+            assert (longest_decreasing(p) > 2) == contains_pattern(p, (3, 2, 1)), p
+            assert (longest_decreasing(reverse(p)) > 2) == contains_pattern(p, (1, 2, 3)), p
 
 
 def test_record_breakers_examples():

@@ -9,7 +9,7 @@ from rsinv.errors import (
     ShapeMismatch,
 )
 from rsinv.permutations import all_permutations, decreasing, identity, inverse, reverse
-from rsinv.rsk import f_involution, inverse_rsk, row_insert, rsk, tableau_of_involution
+from rsinv.insertion import f_involution, inverse_rsk, row_insert, rsk, tableau_of_involution
 from rsinv.tableaux import shape, transpose
 from rsinv.verify import check_reversal_transpose, check_roundtrip
 

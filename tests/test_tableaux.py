@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from rsinv.enumeration import standard_tableaux
 from rsinv.errors import InvalidTableau
-from rsinv.rsk import rsk
+from rsinv.insertion import rsk
 from rsinv.tableaux import (
     conjugate,
     first_column,
