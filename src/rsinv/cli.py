@@ -22,8 +22,14 @@ from .direct import (
     f_rev_shortcut,
     tableau_of_321_avoiding,
 )
-from .errors import DomainError
-from .greene import longest_decreasing
+from .errors import (
+    DomainError,
+    Not123Avoiding,
+    Not321Avoiding,
+    NotGfkTight,
+    NotInvolution,
+    ShortcutInapplicable,
+)
 from .insertion import (
     f_involution,
     inverse_rsk,
@@ -39,7 +45,6 @@ from .permutations import (
     is_involution,
     is_layered,
     parse_permutation,
-    reverse,
 )
 from .tableaux import satisfies_transposed_layer, tableau_from_json, tableau_to_json
 
@@ -81,20 +86,27 @@ def _cmd_unrsk(args) -> int:
 
 
 def _f_methods(p: Perm, method: str) -> dict[str, Perm]:
+    # A construction whose precondition fails raises its own DomainError;
+    # under "all" (and among the direct ones) that means "not applicable".
     results: dict[str, Perm] = {}
     if method in ("rsk", "all"):
         results["rsk"] = f_involution(p)
     if method in ("shortcut", "all"):
-        if method == "shortcut":
+        try:
             results["shortcut"] = f_rev_shortcut(p)
-        elif is_involution(p) and is_involution(p[::-1]):
-            results["shortcut"] = f_rev_shortcut(p)
+        except ShortcutInapplicable:
+            if method == "shortcut":
+                raise
     if method in ("direct", "all"):
         applicable: dict[str, Perm] = {}
-        if is_involution(p) and is_gfk_tight(p):
-            applicable["direct-gfk"] = f_gfk_tight_direct(p)
-        if is_involution(p) and longest_decreasing(reverse(p)) <= 2:
-            applicable["direct-123"] = f_123_avoiding_direct(p)
+        for name, construct, inapplicable in (
+            ("direct-gfk", f_gfk_tight_direct, NotGfkTight),
+            ("direct-123", f_123_avoiding_direct, Not123Avoiding),
+        ):
+            try:
+                applicable[name] = construct(p)
+            except (NotInvolution, inapplicable):
+                pass
         if method == "direct" and not applicable:
             raise DomainError(
                 "no direct construction applies: permutation is neither a"
@@ -122,10 +134,12 @@ def _cmd_tableau(args) -> int:
     results = {}
     if args.method in ("rsk", "all"):
         results["rsk"] = tableau_of_involution(p)
-    if args.method == "direct" or (
-        args.method == "all" and is_involution(p) and longest_decreasing(p) <= 2
-    ):
-        results["direct"] = tableau_of_321_avoiding(p)
+    if args.method in ("direct", "all"):
+        try:
+            results["direct"] = tableau_of_321_avoiding(p)
+        except Not321Avoiding:
+            if args.method == "direct":
+                raise
     values = set(results.values())
     if len(values) > 1:
         for name, t in sorted(results.items()):

@@ -73,17 +73,20 @@ def partition_count(n: int) -> int:
 
 def compositions(n: int) -> Iterator[Composition]:
     """
-    All compositions of n in lexicographic order of parts.
+    All compositions of n in lexicographic order of parts.  Each next one
+    merges the last two parts (a, b) into a + 1 followed by b - 1 ones.
 
     >>> list(compositions(3))
     [(1, 1, 1), (1, 2), (2, 1), (3,)]
     """
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in compositions(n - first):
-            yield (first,) + rest
+    parts = [1] * n
+    while True:
+        yield tuple(parts)
+        if len(parts) < 2:
+            return
+        last = parts.pop()
+        parts[-1] += 1
+        parts.extend([1] * (last - 1))
 
 
 def comp_count(parts: Sequence[int]) -> int:
@@ -156,24 +159,29 @@ def involutions(n: int) -> Iterator[Perm]:
     >>> list(involutions(3))
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 2, 1)]
     """
-
-    def matchings(elems: tuple[int, ...]) -> Iterator[list[tuple[int, int]]]:
-        if not elems:
-            yield []
+    word = list(range(n + 1))  # word[i] = partner of i, 0 while unmatched
+    chosen = list(range(1, n + 1))  # the smaller element of each choice made
+    while True:
+        yield tuple(word[1:])
+        # Undo choices, latest first, until one can pair with a later
+        # unmatched element; then fix everything still unmatched.
+        while chosen:
+            a = chosen.pop()
+            b = word[a]
+            word[a] = word[b] = 0
+            b += 1
+            while b <= n and word[b]:
+                b += 1
+            if b <= n:
+                word[a], word[b] = b, a
+                chosen.append(a)
+                for c in range(a + 1, n + 1):
+                    if not word[c]:
+                        word[c] = c
+                        chosen.append(c)
+                break
+        else:
             return
-        a, rest = elems[0], elems[1:]
-        for sub in matchings(rest):
-            yield [(a, a)] + sub
-        for i, b in enumerate(rest):
-            remaining = rest[:i] + rest[i + 1 :]
-            for sub in matchings(remaining):
-                yield [(a, b)] + sub
-
-    for pairs in matchings(tuple(range(1, n + 1))):
-        word = [0] * n
-        for a, b in pairs:
-            word[a - 1], word[b - 1] = b, a
-        yield tuple(word)
 
 
 def layered_tableaux(n: int) -> Iterator[Tableau]:
@@ -188,26 +196,29 @@ def layered_tableaux(n: int) -> Iterator[Tableau]:
     if n == 0:
         yield ()
         return
-
-    rows: list[list[int]] = [[1]]
-
-    def extend(entry: int, prev_row: int) -> Iterator[Tableau]:
-        if entry > n:
-            yield as_tableau(rows)
+    rows = [list(range(1, n + 1))]
+    row_of = [0] * (n + 1)  # 0-based row of each entry
+    while True:
+        yield as_tableau(rows)
+        # The last entry on the top row moves below its predecessor, and
+        # every later entry goes back to the top row.
+        e = n
+        while e > 1 and row_of[e]:
+            e -= 1
+        if e == 1:
             return
-        rows[0].append(entry)
-        yield from extend(entry + 1, 0)
-        rows[0].pop()
-        below = prev_row + 1
+        for k in range(n, e - 1, -1):
+            rows[row_of[k]].pop()
+            if not rows[-1]:
+                rows.pop()
+        below = row_of[e - 1] + 1
         if below == len(rows):
             rows.append([])
-        rows[below].append(entry)
-        yield from extend(entry + 1, below)
-        rows[below].pop()
-        if not rows[below]:
-            rows.pop()
-
-    yield from extend(2, 0)
+        rows[below].append(e)
+        row_of[e] = below
+        rows[0].extend(range(e + 1, n + 1))
+        for k in range(e + 1, n + 1):
+            row_of[k] = 0
 
 
 def standard_tableaux(n: int) -> Iterator[Tableau]:

@@ -1,6 +1,6 @@
 """Brute-force oracle for longest k-increasing / k-decreasing subsequences,
-the GFK-tightness predicates it decides, and the prefix dynamic program
-for longest decreasing subsequences.
+the GFK-tightness predicates it decides, and patience sorting for the
+longest decreasing subsequence of each prefix.
 
 A k-increasing subsequence is a union of k increasing subsequences; by
 Dilworth's theorem a position subset qualifies exactly when its induced
@@ -19,6 +19,7 @@ sides.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from functools import lru_cache
 from typing import Sequence
 
@@ -143,15 +144,18 @@ def oracle_is_dually_gfk_tight(p: Sequence[int]) -> bool:
 
 def prefix_lds_lengths(p: Sequence[int]) -> list[int]:
     """Longest strictly decreasing subsequence length of each prefix of p,
-    by quadratic dynamic programming (no subset scan, no insertion)."""
-    ending = []  # longest decreasing subsequence ending at each position
+    by patience sorting in O(n log n) (no subset scan, no insertion):
+    tails[k] is the largest possible last entry, negated, of a decreasing
+    subsequence of length k+1 so far."""
+    tails: list[int] = []
     out = []
-    running = 0
-    for j, x in enumerate(p):
-        e = 1 + max((ending[i] for i in range(j) if p[i] > x), default=0)
-        ending.append(e)
-        running = max(running, e)
-        out.append(running)
+    for x in p:
+        j = bisect_left(tails, -x)
+        if j == len(tails):
+            tails.append(-x)
+        else:
+            tails[j] = -x
+        out.append(len(tails))
     return out
 
 

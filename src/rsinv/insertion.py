@@ -8,6 +8,15 @@ each insertion step ended.  Involutions are exactly the permutations with
 P = Q, so transposing that common tableau and running the inverse
 correspondence defines an involution ``f_involution`` on involutions.
 
+Reverse bumping a tableau of shape lambda visits n(lambda) = sum_i (i-1)
+lambda_i rows, so the transposed tableau of a wide, short T (an
+involution with many fixed points) costs about n(lambda^T), quadratic in
+n.  Schuetzenberger's reversal/evacuation theorem (Knuth, TAOCP vol. 3,
+5.1.4) gives the same image from T itself: for w = f(q), P(w^r) = P(w)^T
+= T and Q(w^r) = evac(Q(w))^T = evac(T) = P(q#), where q#(i) = n+1 -
+q(n+1-i) is the reverse-complement of q.  ``f_involution`` takes
+whichever route visits fewer rows.
+
 By Greene's theorem the first k rows of P(p) hold as many entries as the
 longest k-increasing subsequence of p, so GFK-tightness (the k longest
 jogs realize that length for every k) is the statement that the jog
@@ -116,16 +125,42 @@ def tableau_of_involution(p: Sequence[int]) -> Tableau:
     return p_tab
 
 
+def _by_transpose(t: Tableau) -> Perm:
+    # f by its definition: reverse bump the transpose of T against itself.
+    flipped = tableaux.transpose(t)
+    return inverse_rsk((flipped, flipped))
+
+
+def _by_evacuation(p: Sequence[int], t: Tableau) -> Perm:
+    # f(p) reversed has insertion tableau T and recording tableau P(p#).
+    n = len(p)
+    sharp = tuple(n + 1 - x for x in reversed(p))
+    return reverse(inverse_rsk((t, rsk(sharp)[0])))
+
+
 def f_involution(p: Sequence[int]) -> Perm:
     """
-    Transpose the tableau of the involution p and apply the inverse
+    Transpose the tableau T of the involution p and apply the inverse
     correspondence.  This map is an involution on involutions.
+
+    The same image is the reverse of inverse_rsk((T, P(p#))), p# the
+    reverse-complement of p (see the module docstring).  With lambda the
+    shape of T, reverse bumping the transpose visits n(lambda^T) rows;
+    the other route visits n(lambda) rows to reverse bump T and about
+    n(lambda) + n to insert p#.  Both counts come from the shape in
+    O(rows), and the route with fewer visits is taken; the output is
+    the same either way.
 
     >>> f_involution((2, 1, 5, 4, 3, 9, 8, 7, 6))
     (6, 7, 3, 4, 8, 1, 2, 5, 9)
     """
-    flipped = tableaux.transpose(tableau_of_involution(p))
-    return inverse_rsk((flipped, flipped))
+    t = tableau_of_involution(p)
+    lam = tableaux.shape(t)
+    n_lam = sum(i * length for i, length in enumerate(lam))
+    n_lam_transposed = sum(length * (length - 1) // 2 for length in lam)
+    if 2 * n_lam + len(p) < n_lam_transposed:
+        return _by_evacuation(p, t)
+    return _by_transpose(t)
 
 
 def is_gfk_tight(p: Sequence[int]) -> bool:

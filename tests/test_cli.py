@@ -9,6 +9,7 @@ import rsinv
 from rsinv.cli import run
 from rsinv.enumeration import involutions, layered_from_composition
 from rsinv.permutations import decreasing, format_permutation
+from rsinv.tableaux import tableau_to_json
 
 
 def out_of(capsys):
@@ -159,11 +160,13 @@ def test_tightness_and_direct_past_the_oracle_cap(capsys):
     assert direct == by_insertion == format_permutation(range(1, 301)) + "\n"
 
 
-def test_broken_pipe_exits_141_quietly():
+def first_line_then_close(*argv):
+    """Run the CLI in a child, read one line of stdout, close the pipe;
+    return (line, exit code, stderr)."""
     # the child imports rsinv from where this process found it
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rsinv.__file__)))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "rsinv.cli", "enumerate", "--family", "layered", "--n", "30"],
+        [sys.executable, "-m", "rsinv.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
@@ -177,7 +180,25 @@ def test_broken_pipe_exits_141_quietly():
         proc.kill()
         proc.wait()
         proc.stderr.close()
+    return first, code, err
+
+
+def test_broken_pipe_exits_141_quietly():
+    first, code, err = first_line_then_close("enumerate", "--family", "layered", "--n", "30")
     assert first == (" ".join(map(str, range(1, 31))) + "\n").encode()
+    assert code == 141 and err == b""
+
+
+@pytest.mark.parametrize("family", ["layered", "involutions", "layered-tableaux"])
+def test_enumerate_past_the_recursion_limit(family):
+    # n = 1200 is deeper than Python's default recursion limit of 1000; each
+    # family starts with the identity, whose tableau is a single row
+    line, code, err = first_line_then_close("enumerate", "--family", family, "--n", "1200")
+    identity = tuple(range(1, 1201))
+    if family == "layered-tableaux":
+        assert line == (tableau_to_json((identity,)) + "\n").encode()
+    else:
+        assert line == (format_permutation(identity) + "\n").encode()
     assert code == 141 and err == b""
 
 

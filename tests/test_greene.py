@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from rsinv.enumeration import brute_count_general
@@ -119,6 +121,25 @@ def test_record_breakers_examples():
 def test_prefix_lds_lengths():
     assert prefix_lds_lengths((6, 5, 7, 4, 2, 1, 3)) == [1, 2, 2, 3, 4, 5, 5]
     assert prefix_lds_lengths(()) == []
+
+
+def quadratic_prefix_lds_lengths(p):
+    # longest decreasing subsequence ending at each position, by scanning
+    # every earlier position
+    ending, out = [], []
+    for j, x in enumerate(p):
+        ending.append(1 + max((ending[i] for i in range(j) if p[i] > x), default=0))
+        out.append(max(ending))
+    return out
+
+
+def test_prefix_lds_lengths_match_quadratic_reference():
+    for n in range(9):
+        for p in all_permutations(n):
+            assert prefix_lds_lengths(p) == quadratic_prefix_lds_lengths(p), p
+    rng = random.Random(3)
+    word = [rng.randrange(1, 300) for _ in range(2000)]  # repeated values too
+    assert prefix_lds_lengths(word) == quadratic_prefix_lds_lengths(word)
 
 
 def test_profile_monotone_and_saturating():

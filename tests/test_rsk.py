@@ -1,6 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from rsinv import insertion
 from rsinv.enumeration import involutions
 from rsinv.errors import (
     DuplicateEntry,
@@ -84,6 +87,63 @@ def test_f_involution_examples():
 def test_f_involution_rejects_non_involution():
     with pytest.raises(NotInvolution):
         f_involution((2, 3, 1))
+
+
+def seeded_involution(seed, n, paired):
+    # int(paired * n) // 2 two-cycles on random entries, the rest fixed
+    rng = random.Random(seed)
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    word = list(range(1, n + 1))
+    for i in range(int(paired * n) // 2):
+        a, b = order[2 * i], order[2 * i + 1]
+        word[a - 1], word[b - 1] = b, a
+    return tuple(word)
+
+
+def assert_both_routes_are_f(q):
+    # f's definition: reverse bump the transposed tableau against itself
+    t = tableau_of_involution(q)
+    flipped = transpose(t)
+    image = inverse_rsk((flipped, flipped))
+    assert insertion._by_transpose(t) == image, q
+    assert insertion._by_evacuation(q, t) == image, q
+    assert f_involution(q) == image, q
+
+
+def test_f_routes_agree_on_all_involutions_up_to_9():
+    count = 0
+    for n in range(10):
+        for q in involutions(n):
+            assert_both_routes_are_f(q)
+            count += 1
+    assert count == 3736
+
+
+@pytest.mark.parametrize("paired", [0.2, 0.7, 1.0])
+def test_f_routes_agree_on_large_seeded_involutions(paired):
+    assert_both_routes_are_f(seeded_involution(7, 2003, paired))
+
+
+def test_f_route_follows_the_shape(monkeypatch):
+    taken = []
+
+    def record(name):
+        route = getattr(insertion, name)
+
+        def recorded(*args):
+            taken.append(name)
+            return route(*args)
+
+        monkeypatch.setattr(insertion, name, recorded)
+
+    record("_by_transpose")
+    record("_by_evacuation")
+    # many fixed points: T is wide and short, so its transpose is tall
+    f_involution(seeded_involution(7, 2003, 0.2))
+    # no fixed points: T is near square, and evacuation costs one more insertion
+    f_involution(seeded_involution(7, 2003, 1.0))
+    assert taken == ["_by_evacuation", "_by_transpose"]
 
 
 @given(perms(max_n=7))
