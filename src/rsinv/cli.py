@@ -204,11 +204,19 @@ def _cmd_enumerate(args) -> int:
 def _cmd_count(args) -> int:
     n = _require_size(args.n)
     if args.what == "A":
-        print(enumeration.count_A(n))
+        value = enumeration.count_A(n)
     elif args.what == "layered":
-        print(enumeration.count_layered(n))
+        value = enumeration.count_layered(n)
     else:
-        print(enumeration.count_involutions(n))
+        value = enumeration.count_involutions(n)
+    try:
+        text = str(value)
+    except ValueError:  # only raised where sys.get_int_max_str_digits exists
+        raise DomainError(
+            f"count --what {args.what} at n={n} has more than {sys.get_int_max_str_digits()}"
+            " digits, the interpreter's limit for printing an integer"
+        ) from None
+    print(text)
     return 0
 
 

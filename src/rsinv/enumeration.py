@@ -7,9 +7,8 @@ use exact integer arithmetic.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import permutations as _symmetric_group
-from math import factorial
+from math import comb, factorial
 from typing import Iterator, Sequence
 
 from .errors import InstanceTooLarge
@@ -42,33 +41,29 @@ def partitions(n: int, largest: int | None = None) -> Iterator[Partition]:
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
 def partition_count(n: int) -> int:
     """
     Number of partitions of n by Euler's pentagonal-number recurrence
-    (independent of the partitions generator, which tests compare against).
+    (independent of the partitions generator, which tests compare against),
+    filled in for 0..n in one loop.
 
     >>> [partition_count(n) for n in range(8)]
     [1, 1, 2, 3, 5, 7, 11, 15]
     """
     if n < 0:
         return 0
-    if n == 0:
-        return 1
-    total = 0
-    k = 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        g2 = k * (3 * k + 1) // 2
-        if g1 > n and g2 > n:
-            break
-        sign = 1 if k % 2 else -1
-        if g1 <= n:
-            total += sign * partition_count(n - g1)
-        if g2 <= n:
-            total += sign * partition_count(n - g2)
-        k += 1
-    return total
+    counts = [1]
+    for m in range(1, n + 1):
+        total = 0
+        k = 1
+        while (g1 := k * (3 * k - 1) // 2) <= m:
+            sign = 1 if k % 2 else -1
+            total += sign * counts[m - g1]
+            if (g2 := g1 + k) <= m:
+                total += sign * counts[m - g2]
+            k += 1
+        counts.append(total)
+    return counts[n]
 
 
 def compositions(n: int) -> Iterator[Composition]:
@@ -107,12 +102,29 @@ def count_A(n: int) -> int:
     """
     Number of permutations of length n whose insertion and recording
     tableaux are both layered: the sum of comp_count(h)**2 over all
-    partitions h of n.
+    partitions h of n, computed without listing the partitions.
+
+    ways[s][l] is that sum over the multisets of parts smaller than j with
+    total s and l parts.  Adding m parts of size j multiplies the number
+    of arrangements by C(l + m, m), so each j updates
+    ways[s + j*m][l + m] += ways[s][l] * C(l + m, m)**2, with s walked
+    downward so that each state is extended by parts of size j only once.
+    That is O(n^3 log n) exact-integer steps instead of p(n) partitions.
 
     >>> [count_A(n) for n in range(1, 5)]
     [1, 2, 6, 16]
     """
-    return sum(comp_count(h) ** 2 for h in partitions(n))
+    if n < 0:
+        return 0
+    ways = [[0] * (n + 1) for _ in range(n + 1)]
+    ways[0][0] = 1
+    for j in range(1, n + 1):
+        for s in range(n - j, -1, -1):
+            for l, w in enumerate(ways[s][: s + 1]):
+                if w:
+                    for m in range(1, (n - s) // j + 1):
+                        ways[s + j * m][l + m] += w * comb(l + m, m) ** 2
+    return sum(ways[n])
 
 
 def count_layered(n: int) -> int:
@@ -120,12 +132,12 @@ def count_layered(n: int) -> int:
     return 2 ** (n - 1) if n >= 1 else 1
 
 
-@lru_cache(maxsize=None)
 def count_involutions(n: int) -> int:
     """Involution numbers by the recurrence I(n) = I(n-1) + (n-1) I(n-2)."""
-    if n <= 1:
-        return 1
-    return count_involutions(n - 1) + (n - 1) * count_involutions(n - 2)
+    previous, current = 1, 1
+    for m in range(2, n + 1):
+        previous, current = current, current + (m - 1) * previous
+    return current
 
 
 def layered_from_composition(parts: Sequence[int]) -> Perm:

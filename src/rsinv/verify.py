@@ -6,9 +6,11 @@ every one of them; ``_check`` walks the stream, counts instances, and
 collects counterexamples.  GFK-tightness is decided here by the subset
 oracle of ``rsinv.greene`` and pattern avoidance by the pattern scan, both
 independent of insertion, so the checks test the insertion-based answers
-rather than repeat them.  Suites bundle related checks.  The CLI exposes
-them so the whole battery can be reproduced without a test runner, and the
-test suite asserts them at the sizes fixed in tests/test_acceptance.py.
+rather than repeat them; likewise A_n is summed here over every partition
+to check the dynamic programme of ``enumeration.count_A``.  Suites bundle
+related checks.  The CLI exposes them so the whole battery can be
+reproduced without a test runner, and the test suite asserts them at the
+sizes fixed in tests/test_acceptance.py.
 """
 from __future__ import annotations
 
@@ -352,13 +354,23 @@ def check_shortcut(max_n: int = 8) -> CheckResult:
 # ----------------------------------------------------------- counting suite
 
 
+def count_A_by_partitions(n: int) -> int:
+    """A_n as the literal sum of comp_count(h)**2 over the p(n) partitions
+    h of n: the reference that count_A's dynamic programme is checked
+    against."""
+    return sum(enumeration.comp_count(h) ** 2 for h in enumeration.partitions(n))
+
+
 def check_formula_vs_scan(max_n: int = 7) -> CheckResult:
-    """The partition formula reproduces the factorial-scan count of
-    permutations that are dually GFK-tight together with their inverse."""
+    """count_A, the partition sum and the factorial-scan count of
+    permutations that are dually GFK-tight together with their inverse
+    agree."""
     return _check(
         "formula-vs-scan",
         range(1, min(max_n, enumeration.BRUTE_COUNT_CAP) + 1),
-        lambda n: enumeration.count_A(n) == enumeration.brute_count_general(n),
+        lambda n: enumeration.count_A(n)
+        == count_A_by_partitions(n)
+        == enumeration.brute_count_general(n),
     )
 
 

@@ -262,6 +262,22 @@ def test_count(capsys):
     assert out == "764\n"
 
 
+@pytest.mark.parametrize("what", ["layered", "involutions"])
+def test_count_past_the_int_to_str_limit(what, capsys):
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this interpreter prints integers of any length")
+    digits = sys.get_int_max_str_digits()
+    if digits == 0:
+        pytest.skip("the int-to-str limit is switched off")
+    # both counts are at least 2^(n-1) > 10^digits
+    n = 4 * digits + 1
+    assert run(["count", "--what", what, "--n", str(n)]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{digits} digits" in err
+
+
 def test_verify_suite(capsys):
     assert run(["verify", "--suite", "counting", "--max-n", "5"]) == 0
     out, _ = out_of(capsys)

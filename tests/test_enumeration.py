@@ -24,6 +24,7 @@ from rsinv.verify import (
     check_family_counts,
     check_partition_recurrence,
     check_shape_jog_multisets,
+    count_A_by_partitions,
 )
 
 
@@ -41,6 +42,17 @@ def test_partition_count_matches_stream():
     assert partition_count(1) == 1
     assert partition_count(5) == 7
     assert partition_count(12) == 77
+
+
+def test_partition_count_past_the_recursion_limit():
+    n = 2000
+    counts = [1] + [0] * n  # coin-change recurrence, part size by part size
+    for part in range(1, n + 1):
+        for total in range(part, n + 1):
+            counts[total] += counts[total - part]
+    assert [partition_count(m) for m in (1000, n)] == [counts[1000], counts[n]]
+    assert partition_count(1000) == 24061467864032622473692149727991
+    assert partition_count(-1) == 0
 
 
 def test_compositions():
@@ -61,6 +73,16 @@ def test_count_A():
     assert count_A(1) == 1
     assert count_A(3) == 6
     assert count_A(4) == 16
+
+
+def test_count_A_matches_partition_sum():
+    for n in range(31):
+        assert count_A(n) == count_A_by_partitions(n), n
+
+
+def test_count_A_bounds_at_200():
+    # p(200) is about 4e12, so the partition sum could not reach this
+    assert verify_bounds(200)
 
 
 def test_brute_count_examples():
@@ -96,6 +118,17 @@ def test_involutions_stream():
     assert all(is_involution(p) for p in four)
     assert count_involutions(8) == 764
     assert count_involutions(10) == 9496
+
+
+def test_count_involutions_past_the_recursion_limit():
+    # I(n) = sum over k of n! / (k! 2^k (n-2k)!), term by term
+    n = 5000
+    term, total = 1, 1
+    for k in range(n // 2):
+        term = term * (n - 2 * k) * (n - 2 * k - 1) // (2 * (k + 1))
+        total += term
+    assert count_involutions(n) == total
+    assert [count_involutions(m) for m in range(-1, 5)] == [1, 1, 1, 2, 4, 10]
 
 
 def test_layered_tableaux_stream():
