@@ -25,7 +25,7 @@ from .direct import (
     recover_321_avoiding,
     tableau_of_321_avoiding,
 )
-from .greene import longest_k_decreasing, longest_k_increasing, record_breakers
+from .greene import longest_k_decreasing, longest_k_increasing
 from .permutations import (
     EntryClassification,
     Interval,
@@ -41,6 +41,7 @@ from .permutations import (
     jogs,
     layers,
     parse_permutation,
+    record_breakers,
     reverse,
     reverse_jogs,
 )

@@ -10,10 +10,9 @@ unambiguous for n >= 10; tableaux print in the single-line JSON format.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import enumeration, verify
 from .direct import (
@@ -22,14 +21,7 @@ from .direct import (
     f_rev_shortcut,
     tableau_of_321_avoiding,
 )
-from .errors import (
-    DomainError,
-    Not123Avoiding,
-    Not321Avoiding,
-    NotGfkTight,
-    NotInvolution,
-    ShortcutInapplicable,
-)
+from .errors import DomainError
 from .insertion import (
     f_involution,
     inverse_rsk,
@@ -48,14 +40,56 @@ from .permutations import (
 )
 from .tableaux import satisfies_transposed_layer, tableau_from_json, tableau_to_json
 
-PROPS = ("layered", "involution", "gfk-tight", "dually-gfk-tight", "transposed-layer")
+# One table per command-line choice: argparse's choices, the dispatch and
+# the error messages all read the names from here.
+
+#: check --prop name -> predicate (besides avoids:PATTERN)
+PROPS: dict[str, Callable[[Perm], bool]] = {
+    "layered": is_layered,
+    "involution": is_involution,
+    "gfk-tight": is_gfk_tight,
+    "dually-gfk-tight": is_dually_gfk_tight,
+    "transposed-layer": lambda p: satisfies_transposed_layer(tableau_of_involution(p)),
+}
+
+#: enumerate --family name -> (generator of size n, one-line format)
+FAMILIES = {
+    "layered": (enumeration.layered_permutations, format_permutation),
+    "involutions": (enumeration.involutions, format_permutation),
+    "layered-tableaux": (enumeration.layered_tableaux, tableau_to_json),
+    "generalized": (enumeration.generalized_layered, format_permutation),
+}
+
+#: count --what name -> exact count of size n
+COUNTS = {
+    "A": enumeration.count_A,
+    "layered": enumeration.count_layered,
+    "involutions": enumeration.count_involutions,
+}
+
+#: f --method name -> its constructions by label; "all" runs every one
+F_METHODS = {
+    "rsk": {"rsk": f_involution},
+    "direct": {"direct-gfk": f_gfk_tight_direct, "direct-123": f_123_avoiding_direct},
+    "shortcut": {"shortcut": f_rev_shortcut},
+}
+
+#: tableau --method name -> its constructions by label; "all" runs every one
+TABLEAU_METHODS = {
+    "rsk": {"rsk": tableau_of_involution},
+    "direct": {"direct": tableau_of_321_avoiding},
+}
+
+NO_DIRECT_F = (
+    "no direct construction applies: permutation is neither a"
+    " GFK-tight involution nor a 123-avoiding involution"
+)
 
 #: exit code when stdout's reader has gone away
 EXIT_BROKEN_PIPE = 128 + 13
 
 
-def _print_tableau(label: str, t) -> None:
-    print(f"{label}:")
+def _print_rows(t) -> None:
     for row in t:
         print(" ".join(str(v) for v in row))
 
@@ -64,15 +98,12 @@ def _cmd_rsk(args) -> int:
     p = parse_permutation(args.perm)
     p_tab, q_tab = rsk(p)
     if args.json:
-        print(
-            json.dumps(
-                {"P": {"rows": [list(r) for r in p_tab]}, "Q": {"rows": [list(r) for r in q_tab]}},
-                separators=(",", ":"),
-            )
-        )
+        print(f'{{"P":{tableau_to_json(p_tab)},"Q":{tableau_to_json(q_tab)}}}')
     else:
-        _print_tableau("P", p_tab)
-        _print_tableau("Q", q_tab)
+        print("P:")
+        _print_rows(p_tab)
+        print("Q:")
+        _print_rows(q_tab)
     return 0
 
 
@@ -85,89 +116,58 @@ def _cmd_unrsk(args) -> int:
     return 0
 
 
-def _f_methods(p: Perm, method: str) -> dict[str, Perm]:
-    # A construction whose precondition fails raises its own DomainError;
-    # under "all" (and among the direct ones) that means "not applicable".
-    results: dict[str, Perm] = {}
-    if method in ("rsk", "all"):
-        results["rsk"] = f_involution(p)
-    if method in ("shortcut", "all"):
-        try:
-            results["shortcut"] = f_rev_shortcut(p)
-        except ShortcutInapplicable:
-            if method == "shortcut":
-                raise
-    if method in ("direct", "all"):
-        applicable: dict[str, Perm] = {}
-        for name, construct, inapplicable in (
-            ("direct-gfk", f_gfk_tight_direct, NotGfkTight),
-            ("direct-123", f_123_avoiding_direct, Not123Avoiding),
-        ):
+def _print_agreed(args, methods, show, show_each, none_applies="") -> int:
+    """Run the constructions of args.method (every one under "all") on
+    args.perm and print the answer they agree on with ``show``.  A
+    construction that raises a DomainError, its precondition failing, does
+    not apply.  When none applies, the first refusal is raised, except that
+    a method of several constructions (f's "direct") says ``none_applies``.
+    When answers differ, each is printed with ``show_each`` and the exit
+    code is 1."""
+    p = parse_permutation(args.perm)
+    chosen = methods if args.method == "all" else {args.method: methods[args.method]}
+    results = {}
+    refusals = []
+    for constructions in chosen.values():
+        for label, construct in constructions.items():
             try:
-                applicable[name] = construct(p)
-            except (NotInvolution, inapplicable):
-                pass
-        if method == "direct" and not applicable:
-            raise DomainError(
-                "no direct construction applies: permutation is neither a"
-                " GFK-tight involution nor a 123-avoiding involution"
-            )
-        results.update(applicable)
-    return results
+                results[label] = construct(p)
+            except DomainError as exc:
+                refusals.append(exc)
+    if not results:
+        if args.method != "all" and len(refusals) > 1:
+            raise DomainError(none_applies)
+        raise refusals[0]
+    values = set(results.values())
+    if len(values) > 1:
+        for label, value in sorted(results.items()):
+            print(f"{label}: {show_each(value)}")
+        print("error: methods disagree", file=sys.stderr)
+        return 1
+    show(values.pop())
+    return 0
 
 
 def _cmd_f(args) -> int:
-    p = parse_permutation(args.perm)
-    results = _f_methods(p, args.method)
-    values = set(results.values())
-    if len(values) > 1:
-        for name, value in sorted(results.items()):
-            print(f"{name}: {format_permutation(value)}")
-        print("error: methods disagree", file=sys.stderr)
-        return 1
-    print(format_permutation(values.pop()))
-    return 0
+    def show(q):
+        print(format_permutation(q))
+
+    return _print_agreed(args, F_METHODS, show, format_permutation, NO_DIRECT_F)
 
 
 def _cmd_tableau(args) -> int:
-    p = parse_permutation(args.perm)
-    results = {}
-    if args.method in ("rsk", "all"):
-        results["rsk"] = tableau_of_involution(p)
-    if args.method in ("direct", "all"):
-        try:
-            results["direct"] = tableau_of_321_avoiding(p)
-        except Not321Avoiding:
-            if args.method == "direct":
-                raise
-    values = set(results.values())
-    if len(values) > 1:
-        for name, t in sorted(results.items()):
-            print(f"{name}: {tableau_to_json(t)}")
-        print("error: methods disagree", file=sys.stderr)
-        return 1
-    t = values.pop()
-    if args.json:
+    def show_json(t):
         print(tableau_to_json(t))
-    else:
-        for row in t:
-            print(" ".join(str(v) for v in row))
-    return 0
+
+    show = show_json if args.json else _print_rows
+    return _print_agreed(args, TABLEAU_METHODS, show, tableau_to_json)
 
 
 def _cmd_check(args) -> int:
     p = parse_permutation(args.perm)
     prop = args.prop
-    if prop == "layered":
-        value = is_layered(p)
-    elif prop == "involution":
-        value = is_involution(p)
-    elif prop == "gfk-tight":
-        value = is_gfk_tight(p)
-    elif prop == "dually-gfk-tight":
-        value = is_dually_gfk_tight(p)
-    elif prop == "transposed-layer":
-        value = satisfies_transposed_layer(tableau_of_involution(p))
+    if prop in PROPS:
+        value = PROPS[prop](p)
     elif prop.startswith("avoids:"):
         value = avoids(p, parse_permutation(prop.split(":", 1)[1]))
     else:
@@ -185,30 +185,15 @@ def _require_size(n: int) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    n = _require_size(args.n)
-    if args.family == "layered":
-        for p in enumeration.layered_permutations(n):
-            print(format_permutation(p))
-    elif args.family == "involutions":
-        for p in enumeration.involutions(n):
-            print(format_permutation(p))
-    elif args.family == "layered-tableaux":
-        for t in enumeration.layered_tableaux(n):
-            print(tableau_to_json(t))
-    else:
-        for p in enumeration.generalized_layered(n):
-            print(format_permutation(p))
+    generate, show = FAMILIES[args.family]
+    for member in generate(_require_size(args.n)):
+        print(show(member))
     return 0
 
 
 def _cmd_count(args) -> int:
     n = _require_size(args.n)
-    if args.what == "A":
-        value = enumeration.count_A(n)
-    elif args.what == "layered":
-        value = enumeration.count_layered(n)
-    else:
-        value = enumeration.count_involutions(n)
+    value = COUNTS[args.what](n)
     try:
         text = str(value)
     except ValueError:  # only raised where sys.get_int_max_str_digits exists
@@ -221,6 +206,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.max_n is not None:
+        _require_size(args.max_n)
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     all_ok = True
     for name in names:
@@ -257,12 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_f = sub.add_parser("f", help="apply the tableau-transpose involution")
     p_f.add_argument("perm")
-    p_f.add_argument("--method", choices=("rsk", "direct", "shortcut", "all"), default="rsk")
+    p_f.add_argument("--method", choices=(*F_METHODS, "all"), default="rsk")
     p_f.set_defaults(func=_cmd_f)
 
     p_tab = sub.add_parser("tableau", help="print the tableau of an involution")
     p_tab.add_argument("perm")
-    p_tab.add_argument("--method", choices=("rsk", "direct", "all"), default="rsk")
+    p_tab.add_argument("--method", choices=(*TABLEAU_METHODS, "all"), default="rsk")
     p_tab.add_argument("--json", action="store_true")
     p_tab.set_defaults(func=_cmd_tableau)
 
@@ -272,16 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=_cmd_check)
 
     p_enum = sub.add_parser("enumerate", help="list a family, one member per line")
-    p_enum.add_argument(
-        "--family",
-        required=True,
-        choices=("layered", "involutions", "layered-tableaux", "generalized"),
-    )
+    p_enum.add_argument("--family", required=True, choices=tuple(FAMILIES))
     p_enum.add_argument("--n", required=True, type=int)
     p_enum.set_defaults(func=_cmd_enumerate)
 
     p_count = sub.add_parser("count", help="count a family exactly")
-    p_count.add_argument("--what", required=True, choices=("A", "layered", "involutions"))
+    p_count.add_argument("--what", required=True, choices=tuple(COUNTS))
     p_count.add_argument("--n", required=True, type=int)
     p_count.set_defaults(func=_cmd_count)
 

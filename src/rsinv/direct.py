@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import (
-    InvalidTableau,
     Not123Avoiding,
     Not321Avoiding,
     NotGfkTight,
@@ -22,10 +21,18 @@ from .errors import (
     ShortcutInapplicable,
     TooManyRows,
 )
-from .greene import longest_decreasing, record_breakers
 from .insertion import is_gfk_tight
-from .permutations import Perm, check_permutation, classify_entries, is_involution, jogs, reverse
-from .tableaux import Tableau, as_tableau, validate
+from .permutations import (
+    Perm,
+    check_permutation,
+    classify_entries,
+    is_involution,
+    jogs,
+    longest_decreasing,
+    record_breakers,
+    reverse,
+)
+from .tableaux import Tableau, as_tableau, check_tableau
 
 
 def f_rev_shortcut(p: Sequence[int]) -> Perm:
@@ -96,8 +103,7 @@ def recover_321_avoiding(t: Sequence[Sequence[int]]) -> Perm:
     """
     if len(t) > 2:
         raise TooManyRows(f"expected at most two rows, got {len(t)}")
-    if not validate(t):
-        raise InvalidTableau(f"not a standard Young tableau: {as_tableau(t)}")
+    t = check_tableau(t)
     row1 = list(t[0]) if t else []
     row2 = list(t[1]) if len(t) > 1 else []
     n = len(row1) + len(row2)
@@ -137,8 +143,6 @@ def f_123_avoiding_direct(p: Sequence[int]) -> Perm:
         rows.append(rest)
     if not rows[0]:
         rows = []
-    # Validity is a consequence of the record-breaker structure; a failure
-    # here means the precondition was violated or there is a bug upstream.
-    if not validate(rows):
-        raise InvalidTableau(f"record-breakers do not form a tableau: {rows}")
+    # Validity is a consequence of the record-breaker structure; if
+    # recover_321_avoiding refuses these rows, there is a bug upstream.
     return recover_321_avoiding(rows)

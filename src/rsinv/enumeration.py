@@ -15,8 +15,7 @@ from .errors import InstanceTooLarge
 from .greene import env_cap, oracle_is_dually_gfk_tight
 from .insertion import inverse_rsk
 from .permutations import Perm, inverse
-from .tableaux import Shape, Tableau, as_tableau
-from .tableaux import shape as shape_of
+from .tableaux import Tableau, as_tableau, conjugate
 
 Partition = tuple[int, ...]
 Composition = tuple[int, ...]
@@ -25,20 +24,32 @@ Composition = tuple[int, ...]
 BRUTE_COUNT_CAP = 8
 
 
-def partitions(n: int, largest: int | None = None) -> Iterator[Partition]:
+def partitions(n: int) -> Iterator[Partition]:
     """
-    All partitions of n in reverse-lexicographic order.
+    All partitions of n in reverse-lexicographic order.  Each next one
+    drops the trailing ones, lowers the last part x > 1 to x - 1, and
+    refills the freed amount with parts of size at most x - 1, largest
+    first.
 
-    >>> list(partitions(3))
-    [(3,), (2, 1), (1, 1, 1)]
+    >>> list(partitions(4))
+    [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     """
-    if n == 0:
-        yield ()
+    if n < 0:
         return
-    bound = n if largest is None else min(largest, n)
-    for first in range(bound, 0, -1):
-        for rest in partitions(n - first, first):
-            yield (first,) + rest
+    parts = [n] if n else []
+    while True:
+        yield tuple(parts)
+        ones = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            ones += 1
+        if not parts:
+            return
+        x = parts.pop() - 1
+        q, r = divmod(ones + 1, x)
+        parts.extend([x] * (q + 1))
+        if r:
+            parts.append(r)
 
 
 def partition_count(n: int) -> int:
@@ -236,54 +247,98 @@ def layered_tableaux(n: int) -> Iterator[Tableau]:
 def standard_tableaux(n: int) -> Iterator[Tableau]:
     """
     All standard Young tableaux on n boxes, grown by appending each next
-    entry to every legal row end (top row first).
+    entry to every legal row end, top row first, then to a new row.
     """
     if n == 0:
         yield ()
+    if n <= 0:
         return
+    rows = [list(range(1, n + 1))]
+    row_of = [0] * (n + 1)  # 0-based row of each entry
+    while True:
+        yield as_tableau(rows)
+        # Take entries off, largest first, until one has a later legal
+        # row; put it there and every larger entry back on the top row.
+        e = n
+        while True:
+            if e == 1:
+                return
+            r = row_of[e]
+            rows[r].pop()
+            if not rows[r]:
+                rows.pop()
+            r += 1
+            while r < len(rows) and len(rows[r]) == len(rows[r - 1]):
+                r += 1
+            if r <= len(rows):
+                break
+            e -= 1
+        if r == len(rows):
+            rows.append([])
+        rows[r].append(e)
+        row_of[e] = r
+        rows[0].extend(range(e + 1, n + 1))
+        for k in range(e + 1, n + 1):
+            row_of[k] = 0
 
-    rows: list[list[int]] = [[1]]
 
-    def grow(entry: int) -> Iterator[Tableau]:
-        if entry > n:
-            yield as_tableau(rows)
+def layered_tableau(parts: Sequence[int]) -> Tableau:
+    """
+    The tableau of the layered permutation with these layer lengths: each
+    layer starts on the top row, and each next entry of it goes directly
+    below the previous one.
+
+    >>> layered_tableau((2, 1, 3))
+    ((1, 3, 4), (2, 5), (6,))
+    """
+    rows: list[list[int]] = []
+    entry = 0
+    for width in parts:
+        for r in range(width):
+            entry += 1
+            if r == len(rows):
+                rows.append([])
+            rows[r].append(entry)
+    return as_tableau(rows)
+
+
+def _rearrangements(parts: Sequence[int]) -> Iterator[Composition]:
+    # Distinct orderings of a multiset in lexicographic order, each from
+    # the one before by the classical next-permutation step.
+    c = sorted(parts)
+    while True:
+        yield tuple(c)
+        i = len(c) - 2
+        while i >= 0 and c[i] >= c[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for r in range(len(rows)):
-            if r == 0 or len(rows[r]) < len(rows[r - 1]):
-                rows[r].append(entry)
-                yield from grow(entry + 1)
-                rows[r].pop()
-        rows.append([entry])
-        yield from grow(entry + 1)
-        rows.pop()
-
-    yield from grow(2)
-
-
-def layered_tableaux_by_shape(n: int) -> dict[Shape, list[Tableau]]:
-    """Layered tableaux grouped by shape, preserving generation order."""
-    grouped: dict[Shape, list[Tableau]] = {}
-    for t in layered_tableaux(n):
-        grouped.setdefault(shape_of(t), []).append(t)
-    return grouped
+        j = len(c) - 1
+        while c[j] <= c[i]:
+            j -= 1
+        c[i], c[j] = c[j], c[i]
+        c[i + 1 :] = reversed(c[i + 1 :])
 
 
 def generalized_layered(n: int) -> Iterator[Perm]:
     """
     The permutations whose insertion and recording tableaux are both
     layered: the inverse correspondence applied to every ordered pair of
-    equal-shape layered tableaux.  Shapes run in the reverse-lexicographic
-    partition order, pairs in generation order.
+    equal-shape layered tableaux.  Shapes h run in the reverse-lexicographic
+    partition order.  The layered tableaux of shape h are those of the
+    compositions that rearrange conjugate(h), and pairs run in the
+    lexicographic order of those compositions, the order of
+    ``layered_tableaux``.  Nothing is held but the current pair.
 
     >>> list(generalized_layered(2))
     [(1, 2), (2, 1)]
     """
-    grouped = layered_tableaux_by_shape(n)
-    for shp in partitions(n):
-        group = grouped.get(shp, [])
-        for p_tab in group:
-            for q_tab in group:
-                yield inverse_rsk((p_tab, q_tab))
+    for h in partitions(n):
+        layer_lengths = conjugate(h)
+        for p_parts in _rearrangements(layer_lengths):
+            p_tab = layered_tableau(p_parts)
+            for q_parts in _rearrangements(layer_lengths):
+                yield inverse_rsk((p_tab, layered_tableau(q_parts)))
 
 
 def brute_count_general(n: int) -> int:

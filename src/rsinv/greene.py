@@ -1,6 +1,5 @@
-"""Brute-force oracle for longest k-increasing / k-decreasing subsequences,
-the GFK-tightness predicates it decides, and patience sorting for the
-longest decreasing subsequence of each prefix.
+"""Brute-force oracle for longest k-increasing / k-decreasing subsequences
+and the GFK-tightness predicates it decides.
 
 A k-increasing subsequence is a union of k increasing subsequences; by
 Dilworth's theorem a position subset qualifies exactly when its induced
@@ -19,7 +18,6 @@ sides.
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
 from functools import lru_cache
 from typing import Sequence
 
@@ -140,48 +138,3 @@ def oracle_is_dually_gfk_tight(p: Sequence[int]) -> bool:
     reverse jogs of p are the jogs of its reversed word, so this is
     oracle_is_gfk_tight of that word."""
     return oracle_is_gfk_tight(reverse(p))
-
-
-def prefix_lds_lengths(p: Sequence[int]) -> list[int]:
-    """Longest strictly decreasing subsequence length of each prefix of p,
-    by patience sorting in O(n log n) (no subset scan, no insertion):
-    tails[k] is the largest possible last entry, negated, of a decreasing
-    subsequence of length k+1 so far."""
-    tails: list[int] = []
-    out = []
-    for x in p:
-        j = bisect_left(tails, -x)
-        if j == len(tails):
-            tails.append(-x)
-        else:
-            tails[j] = -x
-        out.append(len(tails))
-    return out
-
-
-def longest_decreasing(p: Sequence[int]) -> int:
-    """
-    Length of the longest strictly decreasing subsequence of p; 0 for the
-    empty word.  p avoids 321 exactly when this is at most 2, and avoids
-    123 exactly when the same holds for the reversed word.
-
-    >>> longest_decreasing((6, 5, 7, 4, 2, 1, 3)), longest_decreasing(())
-    (5, 0)
-    """
-    prefix = prefix_lds_lengths(p)
-    return prefix[-1] if prefix else 0
-
-
-def record_breakers(p: Sequence[int]) -> set[int]:
-    """
-    Positions where the longest decreasing subsequence of the prefix grows.
-
-    >>> sorted(record_breakers((6, 5, 7, 4, 2, 1, 3)))
-    [1, 2, 4, 5, 6]
-    """
-    prefix = prefix_lds_lengths(p)
-    return {
-        i + 1
-        for i, value in enumerate(prefix)
-        if value > (prefix[i - 1] if i else 0)
-    }

@@ -30,7 +30,7 @@ from bisect import bisect_left, bisect_right
 from typing import Sequence
 
 from . import tableaux
-from .errors import DuplicateEntry, InvalidTableau, NotInvolution, ShapeMismatch
+from .errors import DuplicateEntry, NotInvolution, ShapeMismatch
 from .permutations import Perm, check_permutation, is_involution, jogs, reverse
 from .tableaux import Tableau
 
@@ -95,10 +95,7 @@ def inverse_rsk(pair: tuple[Sequence[Sequence[int]], Sequence[Sequence[int]]]) -
     >>> inverse_rsk((((1, 2, 5, 9), (3, 4, 8), (6, 7)),) * 2)
     (6, 7, 3, 4, 8, 1, 2, 5, 9)
     """
-    p_tab, q_tab = pair
-    for t in (p_tab, q_tab):
-        if not tableaux.validate(t):
-            raise InvalidTableau(f"not a standard Young tableau: {tableaux.as_tableau(t)}")
+    p_tab, q_tab = (tableaux.check_tableau(t) for t in pair)
     if tableaux.shape(p_tab) != tableaux.shape(q_tab):
         raise ShapeMismatch(
             f"shapes differ: {tableaux.shape(p_tab)} vs {tableaux.shape(q_tab)}"

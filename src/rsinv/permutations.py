@@ -7,6 +7,7 @@ any integer sequence and return plain tuples.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations, permutations as _permutations
 from typing import Iterator, NamedTuple, Sequence
 
@@ -128,11 +129,6 @@ def is_involution(p: Sequence[int]) -> bool:
     return all(p[v - 1] == i + 1 for i, v in enumerate(p))
 
 
-def position_of_value(p: Sequence[int]) -> tuple[int, ...]:
-    """pos[v-1] = 1-based position of value v in p; the inverse as a lookup table."""
-    return inverse(p)
-
-
 def classify_entries(p: Sequence[int]) -> EntryClassification:
     """
     Split the entries of an involution into fixed points, small entries
@@ -167,7 +163,7 @@ def jogs(p: Sequence[int]) -> list[Interval]:
     >>> jogs((3, 6, 1, 4, 7, 2, 5))
     [Interval(lo=1, hi=2), Interval(lo=3, hi=5), Interval(lo=6, hi=7)]
     """
-    pos = position_of_value(p)
+    pos = inverse(p)
     n = len(p)
     blocks = []
     lo = 1
@@ -227,6 +223,51 @@ def layers(p: Sequence[int]) -> list[Interval]:
         base = top
         i += width
     return result
+
+
+def prefix_lds_lengths(p: Sequence[int]) -> list[int]:
+    """Longest strictly decreasing subsequence length of each prefix of p,
+    by patience sorting in O(n log n) (no subset scan, no insertion):
+    tails[k] is the largest possible last entry, negated, of a decreasing
+    subsequence of length k+1 so far."""
+    tails: list[int] = []
+    out = []
+    for x in p:
+        j = bisect_left(tails, -x)
+        if j == len(tails):
+            tails.append(-x)
+        else:
+            tails[j] = -x
+        out.append(len(tails))
+    return out
+
+
+def longest_decreasing(p: Sequence[int]) -> int:
+    """
+    Length of the longest strictly decreasing subsequence of p; 0 for the
+    empty word.  p avoids 321 exactly when this is at most 2, and avoids
+    123 exactly when the same holds for the reversed word.
+
+    >>> longest_decreasing((6, 5, 7, 4, 2, 1, 3)), longest_decreasing(())
+    (5, 0)
+    """
+    prefix = prefix_lds_lengths(p)
+    return prefix[-1] if prefix else 0
+
+
+def record_breakers(p: Sequence[int]) -> set[int]:
+    """
+    Positions where the longest decreasing subsequence of the prefix grows.
+
+    >>> sorted(record_breakers((6, 5, 7, 4, 2, 1, 3)))
+    [1, 2, 4, 5, 6]
+    """
+    prefix = prefix_lds_lengths(p)
+    return {
+        i + 1
+        for i, value in enumerate(prefix)
+        if value > (prefix[i - 1] if i else 0)
+    }
 
 
 def pattern_of(values: Sequence[int]) -> Perm:

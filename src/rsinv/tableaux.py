@@ -68,6 +68,8 @@ def validate(t: Sequence[Sequence[int]]) -> bool:
 
 
 def check_tableau(t: Sequence[Sequence[int]]) -> Tableau:
+    """t as a tableau; raises InvalidTableau unless it is a standard Young
+    tableau.  This is the one place that refusal is raised."""
     tab = as_tableau(t)
     if not validate(tab):
         raise InvalidTableau(f"not a standard Young tableau: {tab}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from typing import Any, Callable, Iterable, Iterator
 
-from . import direct, enumeration, greene, permutations, tableaux
+from . import direct, enumeration, greene, tableaux
 from .errors import InstanceTooLarge
 from .insertion import f_involution, inverse_rsk, is_gfk_tight, rsk, tableau_of_involution
 from .permutations import (
@@ -30,6 +30,8 @@ from .permutations import (
     is_layered,
     jogs,
     layers,
+    longest_decreasing,
+    record_breakers,
     reverse,
 )
 from .tableaux import (
@@ -176,7 +178,7 @@ def check_profile_monotone(max_n: int = 7) -> CheckResult:
     def holds(p):
         n = len(p)
         inc = greene.k_increasing_profile(p)
-        lds = greene.longest_decreasing(p)
+        lds = longest_decreasing(p)
         return all(inc[k - 1] <= inc[k] <= n for k in range(1, n + 1)) and all(
             inc[k] == n for k in range(lds, n + 1)
         )
@@ -202,7 +204,7 @@ def check_record_breaker_column(max_n: int = 7) -> CheckResult:
     return _check(
         "record-breaker-column",
         _upto(all_permutations, max_n),
-        lambda p: greene.record_breakers(p) == set(first_column(rsk(p)[1])),
+        lambda p: record_breakers(p) == set(first_column(rsk(p)[1])),
     )
 
 
@@ -261,8 +263,8 @@ def check_ascent_flip(max_n: int = 8) -> CheckResult:
     descending order in its image."""
 
     def holds(p):
-        pos = permutations.position_of_value(p)
-        fpos = permutations.position_of_value(f_involution(p))
+        pos = inverse(p)
+        fpos = inverse(f_involution(p))
         return all(fpos[a - 1] > fpos[a] for a in range(1, len(p)) if pos[a - 1] < pos[a])
 
     return _check("ascent-flip", _upto(enumeration.involutions, max_n), holds)

@@ -10,8 +10,8 @@ from math import factorial
 from rsinv import enumeration, verify
 from rsinv.direct import recover_321_avoiding
 from rsinv.errors import InstanceTooLarge
-from rsinv.greene import record_breakers
 from rsinv.insertion import f_involution, rsk
+from rsinv.permutations import record_breakers
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:

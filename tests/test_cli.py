@@ -84,6 +84,10 @@ def test_f_rejects_non_involution(capsys):
     assert run(["f", "231"]) == 2
     _, err = out_of(capsys)
     assert "error" in err
+    # under "all" the refusal is the definition's, whatever else refuses
+    for command in ("f", "tableau"):
+        assert run([command, "231", "--method", "all"]) == 2
+        assert out_of(capsys) == ("", "error: not an involution: (2, 3, 1)\n")
 
 
 def test_f_direct_inapplicable(capsys):
@@ -189,10 +193,11 @@ def test_broken_pipe_exits_141_quietly():
     assert code == 141 and err == b""
 
 
-@pytest.mark.parametrize("family", ["layered", "involutions", "layered-tableaux"])
+@pytest.mark.parametrize("family", ["layered", "involutions", "layered-tableaux", "generalized"])
 def test_enumerate_past_the_recursion_limit(family):
-    # n = 1200 is deeper than Python's default recursion limit of 1000; each
-    # family starts with the identity, whose tableau is a single row
+    # n = 1200 is deeper than Python's default recursion limit of 1000, and
+    # far too large to hold every layered tableau; each family starts with
+    # the identity, whose tableau is a single row
     line, code, err = first_line_then_close("enumerate", "--family", family, "--n", "1200")
     identity = tuple(range(1, 1201))
     if family == "layered-tableaux":
@@ -286,6 +291,13 @@ def test_verify_suite(capsys):
     assert any(line.startswith("counting/formula-vs-scan:") for line in lines)
     assert "instances" in lines[0]
     assert lines[-1].startswith("counting: PASS")
+
+
+def test_verify_negative_max_n(capsys):
+    assert run(["verify", "--suite", "rsk", "--max-n", "-1"]) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err == "error: n must be nonnegative, got -1\n"
 
 
 def test_verify_rsk_small(capsys):

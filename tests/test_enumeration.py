@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from rsinv.enumeration import (
@@ -11,6 +13,7 @@ from rsinv.enumeration import (
     involutions,
     layered_from_composition,
     layered_permutations,
+    layered_tableau,
     layered_tableaux,
     partition_count,
     partitions,
@@ -18,8 +21,9 @@ from rsinv.enumeration import (
     verify_bounds,
 )
 from rsinv.errors import InstanceTooLarge
+from rsinv.insertion import inverse_rsk, tableau_of_involution
 from rsinv.permutations import is_involution, is_layered
-from rsinv.tableaux import is_layered_tableau, validate
+from rsinv.tableaux import is_layered_tableau, shape, validate
 from rsinv.verify import (
     check_family_counts,
     check_partition_recurrence,
@@ -150,6 +154,54 @@ def test_generalized_layered():
     assert list(generalized_layered(2)) == [(1, 2), (2, 1)]
     three = list(generalized_layered(3))
     assert len(three) == count_A(3) == 6
+
+
+def test_layered_tableau_of_each_composition():
+    for n in range(11):
+        walker = list(layered_tableaux(n))
+        comps = list(compositions(n))
+        assert len(walker) == len(comps), n
+        for c, t in zip(comps, walker):
+            assert layered_tableau(c) == tableau_of_involution(layered_from_composition(c)) == t, c
+
+
+def test_generalized_layered_matches_grouping_by_shape():
+    # the construction it replaces: every layered tableau held at once,
+    # grouped by shape in generation order
+    for n in range(9):
+        grouped = {}
+        for t in layered_tableaux(n):
+            grouped.setdefault(shape(t), []).append(t)
+        expected = [
+            inverse_rsk((p_tab, q_tab))
+            for h in partitions(n)
+            for p_tab in grouped[h]
+            for q_tab in grouped[h]
+        ]
+        assert list(generalized_layered(n)) == expected, n
+
+
+def stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def test_generators_past_a_tight_recursion_limit():
+    # partitions(30) has a partition of 30 parts and standard_tableaux(200)
+    # has 200 entries: far more than the 20 frames allowed here
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 20)
+    try:
+        parts = list(partitions(30))
+        first = next(standard_tableaux(200))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(parts) == len(set(parts)) == partition_count(30)
+    assert parts[0] == (30,) and parts[-1] == (1,) * 30
+    assert first == (tuple(range(1, 201)),)
 
 
 def test_family_counts_check():

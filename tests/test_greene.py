@@ -7,16 +7,22 @@ from rsinv.errors import DomainError, InstanceTooLarge
 from rsinv.greene import (
     k_decreasing_profile,
     k_increasing_profile,
-    longest_decreasing,
     longest_k_decreasing,
     longest_k_increasing,
     oracle_is_dually_gfk_tight,
     oracle_is_gfk_tight,
-    prefix_lds_lengths,
-    record_breakers,
 )
 from rsinv.insertion import is_dually_gfk_tight, is_gfk_tight
-from rsinv.permutations import all_permutations, contains_pattern, decreasing, identity, reverse
+from rsinv.permutations import (
+    all_permutations,
+    contains_pattern,
+    decreasing,
+    identity,
+    longest_decreasing,
+    prefix_lds_lengths,
+    record_breakers,
+    reverse,
+)
 from rsinv.verify import (
     check_jog_lower_bound,
     check_profile_monotone,

@@ -24,7 +24,6 @@ from rsinv.permutations import (
     layers,
     parse_permutation,
     pattern_of,
-    position_of_value,
     reverse,
     reverse_jogs,
 )
@@ -257,4 +256,4 @@ def test_format_parse_roundtrip(p):
 def test_is_permutation_and_positions():
     assert is_permutation((3, 1, 2))
     assert not is_permutation((3, 1, 1))
-    assert position_of_value((3, 1, 2)) == (2, 3, 1)
+    assert inverse((3, 1, 2)) == (2, 3, 1)
