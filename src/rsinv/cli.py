@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 when a check or verification reports false or
-fails, 2 on usage or domain errors, and 141 (128 + SIGPIPE, as a shell
-tool killed by a closed pipe), with nothing on stderr, when the reader of
-stdout goes away early, as in ``rsinv enumerate ... | head -1``.
+fails, 2 on usage or domain errors, 3 on an internal error (a bug: one
+``internal error: <Type>: <message>`` line on stderr, no traceback), and
+141 (128 + SIGPIPE, as a shell tool killed by a closed pipe), with nothing
+on stderr, when the reader of stdout goes away early, as in
+``rsinv enumerate ... | head -1``.
 Permutations always print in the whitespace format so outputs stay
 unambiguous for n >= 10; tableaux print in the single-line JSON format.
 """
@@ -87,6 +89,9 @@ NO_DIRECT_F = (
 
 #: exit code when stdout's reader has gone away
 EXIT_BROKEN_PIPE = 128 + 13
+
+#: exit code of an exception that is neither bad input nor bad I/O
+EXIT_INTERNAL = 3
 
 
 def _print_rows(t) -> None:
@@ -293,6 +298,9 @@ def run(argv: Sequence[str]) -> int:
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

@@ -2,8 +2,8 @@
 and the count of permutations whose insertion and recording tableaux are
 both layered.
 
-All streams are lazy with documented deterministic orders, and all counts
-use exact integer arithmetic.
+All streams are lazy with documented deterministic orders, and yield
+nothing for a negative size; all counts use exact integer arithmetic.
 """
 from __future__ import annotations
 
@@ -85,6 +85,8 @@ def compositions(n: int) -> Iterator[Composition]:
     >>> list(compositions(3))
     [(1, 1, 1), (1, 2), (2, 1), (3,)]
     """
+    if n < 0:
+        return
     parts = [1] * n
     while True:
         yield tuple(parts)
@@ -182,6 +184,8 @@ def involutions(n: int) -> Iterator[Perm]:
     >>> list(involutions(3))
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 2, 1)]
     """
+    if n < 0:
+        return
     word = list(range(n + 1))  # word[i] = partner of i, 0 while unmatched
     chosen = list(range(1, n + 1))  # the smaller element of each choice made
     while True:
@@ -218,6 +222,7 @@ def layered_tableaux(n: int) -> Iterator[Tableau]:
     """
     if n == 0:
         yield ()
+    if n <= 0:
         return
     rows = [list(range(1, n + 1))]
     row_of = [0] * (n + 1)  # 0-based row of each entry

@@ -9,7 +9,17 @@ independent of the Robinson-Schensted machinery: nothing here imports
 ``rsinv.insertion``, whose Greene-theorem predicates this module checks.
 The scan walks the inclusion/exclusion tree once per permutation and
 records the best size for every k simultaneously, so a full profile costs
-O(2^n * n); profiles are cached per permutation, and every call checks
+O(2^n * n).
+
+The profile depends only on the dominance order of the points (i, p_i)
+of the diagram, and two maps of the diagram preserve its chains:
+transposing it (p -> p^-1) and turning it by 180 degrees (p -> p^rc, with
+p^rc_i = n+1 - p_(n+1-i)).  So p, p^-1, p^rc and (p^rc)^-1 share one
+profile, and a profile is scanned and cached once per orbit of that
+four-element group, under the least of the four images.  Reversal alone
+is not in the group: it swaps increasing and decreasing chains, so (1, 2, 3)
+and (3, 2, 1) have different profiles.  The cache holds 2^14 orbits, more
+than the 12,242 of all permutations with n <= 8, and every call checks
 the size cap (16, lowered by RSINV_MAX_N) before the cache.  The
 k-decreasing profile and dual tightness of p are the k-increasing profile
 and tightness of the reversed word, so one scan and one cache serve both
@@ -21,11 +31,14 @@ import os
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import DomainError, InstanceTooLarge
+from .errors import DomainError, InstanceTooLarge, InvalidPermutation
 from .permutations import Interval, jogs, reverse
 
 #: largest n the subset oracle will accept
 ORACLE_CAP = 16
+
+#: orbits of cached profiles, enough for every permutation with n <= 8
+CACHE_SIZE = 2**14
 
 
 def env_cap(cap: int) -> int:
@@ -73,18 +86,40 @@ def _subset_profile(values: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(best)
 
 
-@lru_cache(maxsize=None)
+def _canonical(p: tuple[int, ...]) -> tuple[int, ...]:
+    # The least of p, p^-1, p^rc and (p^rc)^-1; (p^rc)^-1 = (p^-1)^rc.
+    n = len(p)
+    inv = [0] * n
+    try:
+        for i, v in enumerate(p, 1):
+            inv[v - 1] = i
+        valid = 0 not in inv and (not p or min(p) > 0)
+    except (IndexError, TypeError):
+        valid = False
+    if not valid:
+        raise InvalidPermutation(f"not a permutation of 1..{n}: {p}")
+    m = n + 1
+    return min(
+        p,
+        tuple(inv),
+        tuple([m - v for v in reversed(p)]),
+        tuple([m - v for v in reversed(inv)]),
+    )
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def _cached_profile(values: tuple[int, ...]) -> tuple[int, ...]:
     return _subset_profile(values)
 
 
 def k_increasing_profile(p: Sequence[int]) -> tuple[int, ...]:
     """profile[k] = length of the longest k-increasing subsequence, k = 0..n.
-    Raises InstanceTooLarge past the oracle cap, cached or not."""
+    Raises InstanceTooLarge past the oracle cap, cached or not, and
+    InvalidPermutation unless p is a permutation of 1..n."""
     cap = oracle_cap()
     if len(p) > cap:
         raise InstanceTooLarge(f"subset oracle capped at n <= {cap}, got {len(p)}")
-    return _cached_profile(tuple(p))
+    return _cached_profile(_canonical(tuple(p)))
 
 
 def k_decreasing_profile(p: Sequence[int]) -> tuple[int, ...]:

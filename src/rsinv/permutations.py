@@ -9,14 +9,26 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import combinations, permutations as _permutations
+from math import comb
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import InvalidPermutation, NotInvolution, NotLayered, PatternTooLarge
+from .errors import (
+    InstanceTooLarge,
+    InvalidPermutation,
+    NotInvolution,
+    NotLayered,
+    PatternTooLarge,
+)
 
 Perm = tuple[int, ...]
 
-#: largest pattern length accepted by the brute-force containment scan
+#: largest pattern length accepted by ``avoids`` and the containment scan
 MAX_PATTERN_LENGTH = 6
+
+#: most position subsets, C(n, k) for a word of length n and a pattern of
+#: length k, that the containment scan walks before it refuses.  At about
+#: 3 us a subset that is a few seconds; C(16, 4) = 1820.
+PATTERN_SCAN_BUDGET = 10**6
 
 
 class Interval(NamedTuple):
@@ -280,8 +292,10 @@ def pattern_of(values: Sequence[int]) -> Perm:
 def contains_pattern(p: Sequence[int], q: Sequence[int]) -> bool:
     """
     Brute-force containment: does some subsequence of p have the same
-    relative order as q?  Scans all position subsets of size len(q), so the
-    pattern length is capped at MAX_PATTERN_LENGTH.
+    relative order as q?  Scans all C(n, k) position subsets of size
+    k = len(q), so k is capped at MAX_PATTERN_LENGTH and C(n, k) at
+    PATTERN_SCAN_BUDGET (InstanceTooLarge past it).  Independent of
+    patience sorting and of insertion.
 
     >>> contains_pattern((6, 5, 7, 4, 2, 1, 3), (1, 2, 3))
     False
@@ -289,19 +303,41 @@ def contains_pattern(p: Sequence[int], q: Sequence[int]) -> bool:
     True
     """
     pattern = check_permutation(q)
-    if len(pattern) > MAX_PATTERN_LENGTH:
-        raise PatternTooLarge(
-            f"pattern length {len(pattern)} exceeds cap {MAX_PATTERN_LENGTH}"
-        )
-    if len(pattern) > len(p):
+    k = len(pattern)
+    if k > MAX_PATTERN_LENGTH:
+        raise PatternTooLarge(f"pattern length {k} exceeds cap {MAX_PATTERN_LENGTH}")
+    if k > len(p):
         return False
     if not pattern:
         return True
-    return any(pattern_of(sub) == pattern for sub in combinations(p, len(pattern)))
+    subsets = comb(len(p), k)
+    if subsets > PATTERN_SCAN_BUDGET:
+        raise InstanceTooLarge(
+            f"pattern scan capped at {PATTERN_SCAN_BUDGET} subsets,"
+            f" got C({len(p)}, {k}) = {subsets}"
+        )
+    return any(pattern_of(sub) == pattern for sub in combinations(p, k))
 
 
 def avoids(p: Sequence[int], q: Sequence[int]) -> bool:
-    return not contains_pattern(p, q)
+    """
+    True iff no subsequence of p has the relative order of q.  For the
+    monotone patterns 1 2 ... k and k ... 2 1 that holds exactly when the
+    longest increasing (decreasing) subsequence of p is shorter than k,
+    found by patience sorting in O(n log n); any other pattern goes to the
+    containment scan and its budget.  A pattern longer than
+    MAX_PATTERN_LENGTH is refused, monotone or not.
+
+    >>> avoids(decreasing(400), (1, 2, 3, 4)), avoids((2, 4, 1, 3), (2, 1, 4, 3))
+    (True, True)
+    """
+    pattern = check_permutation(q)
+    k = len(pattern)
+    if k <= MAX_PATTERN_LENGTH and pattern == identity(k):
+        return longest_decreasing(reverse(p)) < k
+    if k <= MAX_PATTERN_LENGTH and pattern == decreasing(k):
+        return longest_decreasing(p) < k
+    return not contains_pattern(p, pattern)
 
 
 def all_permutations(n: int) -> Iterator[Perm]:

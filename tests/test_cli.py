@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import rsinv
+from rsinv import cli
 from rsinv.cli import run
 from rsinv.enumeration import involutions, layered_from_composition
 from rsinv.permutations import decreasing, format_permutation
@@ -223,6 +224,28 @@ def test_check_properties(capsys):
         assert run(argv) == code, argv
         out, _ = out_of(capsys)
         assert out == text + "\n", argv
+
+
+def test_check_avoids_past_the_pattern_scan_budget(capsys):
+    word = format_permutation(decreasing(400))
+    assert run(["check", word, "--prop", "avoids:1234"]) == 0
+    assert run(["check", word, "--prop", "avoids:4321"]) == 1
+    out, _ = out_of(capsys)
+    assert out == "true\nfalse\n"
+    assert run(["check", word, "--prop", "avoids:2143"]) == 2
+    out, err = out_of(capsys)
+    assert out == "" and err.startswith("error: pattern scan capped at")
+
+
+def test_internal_error_exits_3_without_a_traceback(capsys, monkeypatch):
+    def broken(p):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.PROPS, "layered", broken)
+    assert run(["check", "123", "--prop", "layered"]) == 3
+    out, err = out_of(capsys)
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"
 
 
 def test_check_transposed_layer_needs_involution(capsys):

@@ -226,3 +226,22 @@ def test_verify_bounds():
     assert verify_bounds(4)
     assert partition_count(4) * count_A(4) == 5 * 16
     assert verify_bounds(12)
+
+
+@pytest.mark.parametrize(
+    "generate",
+    [
+        partitions,
+        compositions,
+        layered_permutations,
+        involutions,
+        layered_tableaux,
+        standard_tableaux,
+        generalized_layered,
+    ],
+)
+def test_generators_yield_nothing_for_negative_n(generate):
+    # no object has a negative size
+    for n in (-1, -2, -7):
+        assert list(generate(n)) == [], n
+    assert len(list(generate(0))) == 1

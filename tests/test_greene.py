@@ -3,8 +3,10 @@ import random
 import pytest
 
 from rsinv.enumeration import brute_count_general
-from rsinv.errors import DomainError, InstanceTooLarge
+from rsinv.errors import DomainError, InstanceTooLarge, InvalidPermutation
 from rsinv.greene import (
+    _cached_profile,
+    _subset_profile,
     k_decreasing_profile,
     k_increasing_profile,
     longest_k_decreasing,
@@ -18,6 +20,7 @@ from rsinv.permutations import (
     contains_pattern,
     decreasing,
     identity,
+    inverse,
     longest_decreasing,
     prefix_lds_lengths,
     record_breakers,
@@ -90,6 +93,33 @@ def test_oracle_cap_is_checked_on_cache_hits(monkeypatch):
     monkeypatch.setenv("RSINV_MAX_N", "abc")
     with pytest.raises(DomainError, match="RSINV_MAX_N"):
         longest_k_increasing(p, 2)
+
+
+def reverse_complement(p):
+    n = len(p)
+    return tuple(n + 1 - v for v in reversed(p))
+
+
+def test_symmetry_keyed_profile_equals_the_raw_scan():
+    # The cache is keyed by the least of p, p^-1, p^rc and (p^rc)^-1; each
+    # profile served from it must be the raw scan of p itself.
+    _cached_profile.cache_clear()
+    for n in range(8):
+        for p in all_permutations(n):
+            raw = _subset_profile(p)
+            assert k_increasing_profile(p) == raw, p
+            rc = reverse_complement(p)
+            images = (inverse(p), rc, inverse(rc))
+            assert all(_subset_profile(image) == raw for image in images), p
+    # Reversal is not a symmetry: it swaps increasing and decreasing.
+    assert _subset_profile((1, 2, 3)) != _subset_profile(reverse((1, 2, 3)))
+    assert _cached_profile.cache_info().maxsize is not None
+
+
+def test_oracle_refuses_a_non_permutation():
+    for word in ((0, 1), (-1, 1), (1, 1), (3, 1), (5, 3, 9)):
+        with pytest.raises(InvalidPermutation):
+            k_increasing_profile(word)
 
 
 def test_is_gfk_tight_examples():

@@ -2,14 +2,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rsinv.errors import (
+    InstanceTooLarge,
     InvalidPermutation,
     NotInvolution,
     NotLayered,
     PatternTooLarge,
 )
 from rsinv.permutations import (
+    PATTERN_SCAN_BUDGET,
     Interval,
     all_permutations,
+    avoids,
     classify_entries,
     contains_pattern,
     decreasing,
@@ -218,6 +221,31 @@ def test_contains_pattern_longer_than_word():
 def test_pattern_cap():
     with pytest.raises(PatternTooLarge):
         contains_pattern(identity(8), identity(7))
+
+
+def test_avoids_agrees_with_the_scan():
+    # Monotone patterns are answered by patience sorting, every other one by
+    # the scan itself, which needs checking only at small n for the dispatch.
+    every = [q for k in range(5) for q in all_permutations(k)]
+    monotone = [q for k in range(5) for q in (identity(k), decreasing(k))]
+    for n in range(8):
+        for p in all_permutations(n):
+            for q in every if n <= 5 else monotone:
+                assert avoids(p, q) == (not contains_pattern(p, q)), (p, q)
+
+
+def test_monotone_patterns_answer_past_the_scan_budget():
+    word = decreasing(400)
+    assert avoids(word, (1, 2, 3, 4))
+    assert not avoids(word, (4, 3, 2, 1))
+    assert avoids(identity(400), (3, 2, 1))
+    with pytest.raises(PatternTooLarge):
+        avoids(word, identity(7))
+    for call in (avoids, contains_pattern):
+        with pytest.raises(InstanceTooLarge, match="C\\(400, 4\\)"):
+            call(word, (2, 1, 4, 3))
+    # the budget sits well above the scans of small words
+    assert PATTERN_SCAN_BUDGET > 500 * 1820  # C(16, 4)
 
 
 def test_pattern_of():
