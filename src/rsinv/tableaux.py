@@ -8,6 +8,8 @@ is valid.
 from __future__ import annotations
 
 import json
+from itertools import chain
+from operator import ge, lt
 from typing import Sequence
 
 from .errors import InvalidTableau
@@ -45,26 +47,20 @@ def validate(t: Sequence[Sequence[int]]) -> bool:
     True iff t is a standard Young tableau: weakly decreasing positive row
     lengths, entries exactly 1..n, rows and columns strictly increasing.
     Returns False on any violation instead of raising, so it can screen
-    untrusted input.
+    untrusted input.  Each check is one C-level scan (``map`` over
+    ``operator``), and each relies on the ones before it: the shape is
+    checked before the entries are sorted, and the entries are 1..n before
+    rows and columns are compared.
     """
     rows = [list(row) for row in t]
     lengths = [len(row) for row in rows]
-    if any(length == 0 for length in lengths):
+    if not all(lengths) or not all(map(ge, lengths, lengths[1:])):
         return False
-    if any(lengths[i] < lengths[i + 1] for i in range(len(lengths) - 1)):
+    if sorted(chain.from_iterable(rows)) != list(range(1, sum(lengths) + 1)):
         return False
-    n = sum(lengths)
-    entries = [v for row in rows for v in row]
-    if sorted(entries) != list(range(1, n + 1)):
-        return False
-    for row in rows:
-        if any(row[j] >= row[j + 1] for j in range(len(row) - 1)):
-            return False
-    for r in range(len(rows) - 1):
-        below = rows[r + 1]
-        if any(rows[r][c] >= below[c] for c in range(len(below))):
-            return False
-    return True
+    return all(all(map(lt, row, row[1:])) for row in rows) and all(
+        all(map(lt, upper, lower)) for upper, lower in zip(rows, rows[1:])
+    )
 
 
 def check_tableau(t: Sequence[Sequence[int]]) -> Tableau:

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import rsinv
-from rsinv import cli
+from rsinv import cli, insertion
 from rsinv.cli import run
 from rsinv.enumeration import involutions, layered_from_composition
 from rsinv.permutations import decreasing, format_permutation
@@ -79,6 +79,34 @@ def test_f_method_all_on_all_involutions_up_to_8(capsys):
         for p in involutions(n):
             assert run(["f", format_permutation(p), "--method", "all"]) == 0, p
     capsys.readouterr()
+
+
+def test_f_method_all_inserts_each_involution_once(capsys, monkeypatch):
+    # f and the GFK-tightness precondition of direct-gfk share P(q): one
+    # bump per 2-cycle of q, plus one per 2-cycle of q# when f takes the
+    # evacuation route, and never the general rsk
+    bumped = []
+
+    def bump(rows, x):
+        bumped.append(x)
+        return real_bump(rows, x)
+
+    def general_rsk(p):
+        raise AssertionError(f"general rsk called on {p}")
+
+    real_bump = insertion._bump
+    monkeypatch.setattr(insertion, "_bump", bump)
+    monkeypatch.setattr(insertion, "rsk", general_rsk)
+    wide = (2, 1, *range(3, 31))  # T of shape (29, 1): the evacuation route
+    for q, image, inserted in [
+        ((6, 7, 3, 4, 8, 1, 2, 5, 9), (2, 1, 5, 4, 3, 9, 8, 7, 6), [1, 2, 5]),
+        (wide, (1, *range(30, 1, -1)), [1, 29]),
+    ]:
+        insertion._involution_tableau.cache_clear()
+        bumped.clear()
+        assert run(["f", format_permutation(q), "--method", "all"]) == 0
+        assert out_of(capsys) == (format_permutation(image) + "\n", "")
+        assert bumped == inserted, q
 
 
 def test_f_rejects_non_involution(capsys):

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -246,6 +248,20 @@ def test_monotone_patterns_answer_past_the_scan_budget():
             call(word, (2, 1, 4, 3))
     # the budget sits well above the scans of small words
     assert PATTERN_SCAN_BUDGET > 500 * 1820  # C(16, 4)
+
+
+def test_contains_pattern_agrees_with_standardization():
+    # the argsort comparison against pattern_of, the definition of order
+    # type, on every pattern of length <= 4 and every word of length <= 7
+    every = [q for k in range(5) for q in all_permutations(k)]
+    for n in range(8):
+        for p in all_permutations(n):
+            contained = {pattern_of(sub) for k in range(5) for sub in combinations(p, k)}
+            for q in every:
+                assert contains_pattern(p, q) == (q in contained), (p, q)
+    # a repeated value has no order type, so it matches no pattern
+    assert not contains_pattern((1, 1), (1, 2))
+    assert contains_pattern((2, 2, 1, 3), (2, 1, 3))
 
 
 def test_pattern_of():

@@ -102,10 +102,15 @@ def seeded_involution(seed, n, paired):
 
 
 def assert_both_routes_are_f(q):
+    # one bump per 2-cycle builds P(q), and the peel of a tableau S is the
+    # involution inverse_rsk((S, S))
+    t = rsk(q)[0]
+    assert tableau_of_involution(q) == t, q
+    assert insertion._peel(t) == q, q
     # f's definition: reverse bump the transposed tableau against itself
-    t = tableau_of_involution(q)
     flipped = transpose(t)
     image = inverse_rsk((flipped, flipped))
+    assert insertion._peel(flipped) == image, q
     assert insertion._by_transpose(t) == image, q
     assert insertion._by_evacuation(q, t) == image, q
     assert f_involution(q) == image, q
@@ -137,8 +142,12 @@ def test_f_route_follows_the_shape(monkeypatch):
 
         monkeypatch.setattr(insertion, name, recorded)
 
+    def general_rsk(p):
+        raise AssertionError(f"f called the general rsk on {p}")
+
     record("_by_transpose")
     record("_by_evacuation")
+    monkeypatch.setattr(insertion, "rsk", general_rsk)
     # many fixed points: T is wide and short, so its transpose is tall
     f_involution(seeded_involution(7, 2003, 0.2))
     # no fixed points: T is near square, and evacuation costs one more insertion

@@ -39,6 +39,52 @@ def test_validate():
     assert not validate(((1, 3), (2, 4), (4,)))
 
 
+def reference_validate(t):
+    # the definition, one entry at a time
+    rows = [list(row) for row in t]
+    if any(len(row) == 0 for row in rows):
+        return False
+    if any(len(rows[r]) < len(rows[r + 1]) for r in range(len(rows) - 1)):
+        return False
+    entries = [v for row in rows for v in row]
+    if sorted(entries) != list(range(1, len(entries) + 1)):
+        return False
+    for r, row in enumerate(rows):
+        for c, v in enumerate(row):
+            if c + 1 < len(row) and v >= row[c + 1]:
+                return False
+            if r + 1 < len(rows) and c < len(rows[r + 1]) and v >= rows[r + 1][c]:
+                return False
+    return True
+
+
+@st.composite
+def perturbed_tableaux(draw):
+    rows = [list(row) for row in draw(tableaux_from_perms(max_n=10))]
+    cells = [(r, c) for r, row in enumerate(rows) for c in range(len(row))]
+    kind = draw(st.sampled_from(["none", "swap", "shorten", "empty row", "zero"]))
+    if kind == "swap" and len(cells) > 1:
+        (r1, c1), (r2, c2) = draw(st.permutations(cells))[:2]
+        rows[r1][c1], rows[r2][c2] = rows[r2][c2], rows[r1][c1]
+    elif kind == "shorten" and rows:
+        # drop a row's last entry and renumber the rest 1..n-1 in order, so
+        # that only the shape can be wrong
+        rows[draw(st.integers(0, len(rows) - 1))].pop()
+        rank = {v: i for i, v in enumerate(sorted(v for row in rows for v in row), 1)}
+        rows = [[rank[v] for v in row] for row in rows]
+    elif kind == "empty row":
+        rows.insert(draw(st.integers(0, len(rows))), [])
+    elif kind == "zero" and cells:
+        r, c = draw(st.sampled_from(cells))
+        rows[r][c] = 0
+    return tuple(tuple(row) for row in rows)
+
+
+@given(perturbed_tableaux())
+def test_validate_agrees_with_the_definition(t):
+    assert validate(t) == reference_validate(t)
+
+
 def test_transpose():
     assert transpose(LAYERED) == FLIPPED
     assert transpose(((1, 2, 3),)) == ((1,), (2,), (3,))
