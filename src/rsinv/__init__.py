@@ -1,6 +1,6 @@
 """Robinson-Schensted on involutions: the tableau-transpose involution,
 direct constructions of it on special permutation classes, an independent
-brute-force subsequence oracle, and exhaustive verification at small sizes.
+insertion-free subsequence oracle, and exhaustive verification at small sizes.
 """
 from .enumeration import (
     brute_count_general,

@@ -211,9 +211,9 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.max_n is not None:
-        _require_size(args.max_n)
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
+    if args.max_n is not None:
+        verify.require_budget(names, _require_size(args.max_n))
     all_ok = True
     for name in names:
         results = verify.run_suite(name, args.max_n)

@@ -13,7 +13,7 @@ from typing import Iterator, Sequence
 
 from .errors import InstanceTooLarge
 from .greene import env_cap, oracle_is_dually_gfk_tight
-from .insertion import inverse_rsk
+from .insertion import inverse_rsk_unchecked
 from .permutations import Perm, inverse
 from .tableaux import Tableau, as_tableau, conjugate
 
@@ -333,7 +333,9 @@ def generalized_layered(n: int) -> Iterator[Perm]:
     partition order.  The layered tableaux of shape h are those of the
     compositions that rearrange conjugate(h), and pairs run in the
     lexicographic order of those compositions, the order of
-    ``layered_tableaux``.  Nothing is held but the current pair.
+    ``layered_tableaux``.  Both tableaux of a pair are built standard and
+    of shape h, so the inverse correspondence does not check them again.
+    Nothing is held but the current pair.
 
     >>> list(generalized_layered(2))
     [(1, 2), (2, 1)]
@@ -343,7 +345,7 @@ def generalized_layered(n: int) -> Iterator[Perm]:
         for p_parts in _rearrangements(layer_lengths):
             p_tab = layered_tableau(p_parts)
             for q_parts in _rearrangements(layer_lengths):
-                yield inverse_rsk((p_tab, layered_tableau(q_parts)))
+                yield inverse_rsk_unchecked(p_tab, layered_tableau(q_parts))
 
 
 def brute_count_general(n: int) -> int:

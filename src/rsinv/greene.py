@@ -1,29 +1,43 @@
-"""Brute-force oracle for longest k-increasing / k-decreasing subsequences
-and the GFK-tightness predicates it decides.
+"""Insertion-free oracle for longest k-increasing / k-decreasing
+subsequences and the GFK-tightness predicates it decides.
 
 A k-increasing subsequence is a union of k increasing subsequences; by
 Dilworth's theorem a position subset qualifies exactly when its induced
 subsequence has no decreasing subsequence of length k+1.  The oracle
-maximizes the subset size over all 2^n subsets, which is deliberately
-independent of the Robinson-Schensted machinery: nothing here imports
-``rsinv.insertion``, whose Greene-theorem predicates this module checks.
-The scan walks the inclusion/exclusion tree once per permutation and
-records the best size for every k simultaneously, so a full profile costs
-O(2^n * n).
+finds the largest qualifying subset for every k at once.  It is
+deliberately independent of the Robinson-Schensted machinery and of
+patience sorting: nothing here imports ``rsinv.insertion``, whose
+Greene-theorem predicates this module checks.
+
+It is a dynamic programme over positions instead of a walk of all 2^n
+subsets.  A chosen subset acts on later positions only through tops[c],
+the largest chosen value that ends a decreasing chain longer than c: a
+later value x ends a chain of length 1 + #{c : tops[c] > x}, and the
+longest chain in the subset is len(tops).  Each top is raised to the
+least value still to come that is above it, or to n+1 if there is none.
+No value still to come lies between a top and its raised value, so every
+later comparison comes out the same: subsets whose raised tops are equal
+have the same futures, and only the largest of them needs keeping.  At
+the end the largest subset with longest chain k is read off each state,
+and prefix maxima give the profile.  The merging is what makes it fast.
+Without it the decreasing word of length n keeps 2^n states; with it the
+most states alive at once were 21 over every permutation with n <= 8,
+144 over 300 seeded random permutations with n = 16, and 17 on the
+decreasing word of length 16.
 
 The profile depends only on the dominance order of the points (i, p_i)
 of the diagram, and two maps of the diagram preserve its chains:
 transposing it (p -> p^-1) and turning it by 180 degrees (p -> p^rc, with
 p^rc_i = n+1 - p_(n+1-i)).  So p, p^-1, p^rc and (p^rc)^-1 share one
-profile, and a profile is scanned and cached once per orbit of that
+profile, and a profile is computed and cached once per orbit of that
 four-element group, under the least of the four images.  Reversal alone
 is not in the group: it swaps increasing and decreasing chains, so (1, 2, 3)
 and (3, 2, 1) have different profiles.  The cache holds 2^14 orbits, more
 than the 12,242 of all permutations with n <= 8, and every call checks
 the size cap (16, lowered by RSINV_MAX_N) before the cache.  The
 k-decreasing profile and dual tightness of p are the k-increasing profile
-and tightness of the reversed word, so one scan and one cache serve both
-sides.
+and tightness of the reversed word, so one programme and one cache serve
+both sides.
 """
 from __future__ import annotations
 
@@ -59,27 +73,42 @@ def oracle_cap() -> int:
 
 def _subset_profile(values: tuple[int, ...]) -> tuple[int, ...]:
     # best[k] = largest subset whose induced subsequence has no decreasing
-    # chain of length k+1.
+    # chain of length k+1, by the dynamic programme of the module docstring.
+    # A state is tops, nonincreasing: tops[c] is the largest chosen value
+    # ending a decreasing chain longer than c, raised to the least value
+    # still to come above it (n+1 if none).  Each key keeps its largest
+    # chosen count.
     n = len(values)
+    states: dict[tuple[int, ...], int] = {(): 0}
+    for i, x in enumerate(values):
+        # u: the least value still to come above x, n+1 if none
+        u = min([v for v in values[i + 1 :] if v > x], default=n + 1)
+        grown: dict[tuple[int, ...], int] = {}
+        for tops, size in states.items():
+            e = 0  # x ends a chain of length e+1
+            for t in tops:
+                if t <= x:
+                    break
+                e += 1
+            # A top equal to x stands for a chosen value below x raised to
+            # x.  Now x has passed, so it rises to u, as does x itself once
+            # chosen: the key is the same whether x is chosen or not, and
+            # choosing it is larger.  Otherwise a chosen x replaces tops[e],
+            # which is below x, or starts a longer chain.
+            same = tops.count(x)
+            if same:
+                key = tops[:e] + (u,) * same + tops[e + same :]
+            else:
+                key = tops[:e] + (u,) + tops[e + 1 :]
+                if grown.get(tops, -1) < size:
+                    grown[tops] = size
+            if grown.get(key, -1) <= size:
+                grown[key] = size + 1
+        states = grown
     best = [0] * (n + 1)
-    chosen: list[tuple[int, int]] = []  # (value, longest chain ending here)
-
-    def explore(i: int, longest: int) -> None:
-        if i == n:
-            if len(chosen) > best[longest]:
-                best[longest] = len(chosen)
-            return
-        explore(i + 1, longest)
-        x = values[i]
-        ending = 1
-        for v, c in chosen:
-            if v > x and c >= ending:
-                ending = c + 1
-        chosen.append((x, ending))
-        explore(i + 1, ending if ending > longest else longest)
-        chosen.pop()
-
-    explore(0, 0)
+    for tops, size in states.items():
+        if size > best[len(tops)]:
+            best[len(tops)] = size
     for k in range(1, n + 1):
         if best[k] < best[k - 1]:
             best[k] = best[k - 1]

@@ -117,7 +117,9 @@ def rsk(p: Sequence[int]) -> tuple[Tableau, Tableau]:
 def inverse_rsk(pair: tuple[Sequence[Sequence[int]], Sequence[Sequence[int]]]) -> Perm:
     """
     The unique permutation p with rsk(p) == pair, obtained by reverse
-    bumping the cells of P in decreasing order of Q's entries.
+    bumping the cells of P in decreasing order of Q's entries.  Raises
+    InvalidTableau or ShapeMismatch unless the pair is two standard
+    tableaux of one shape.
 
     >>> inverse_rsk((((1, 2, 5, 9), (3, 4, 8), (6, 7)),) * 2)
     (6, 7, 3, 4, 8, 1, 2, 5, 9)
@@ -127,6 +129,12 @@ def inverse_rsk(pair: tuple[Sequence[Sequence[int]], Sequence[Sequence[int]]]) -
         raise ShapeMismatch(
             f"shapes differ: {tableaux.shape(p_tab)} vs {tableaux.shape(q_tab)}"
         )
+    return inverse_rsk_unchecked(p_tab, q_tab)
+
+
+def inverse_rsk_unchecked(p_tab: Tableau, q_tab: Tableau) -> Perm:
+    """inverse_rsk of a pair the caller built as two standard tableaux of
+    one shape, without checking that again."""
     n = tableaux.size(p_tab)
     row_of = {v: r for r, row in enumerate(q_tab) for v in row}
     rows = [list(row) for row in p_tab]
@@ -199,15 +207,18 @@ def tableau_of_involution(p: Sequence[int]) -> Tableau:
 
 
 def _by_transpose(t: Tableau) -> Perm:
-    # f by its definition: the involution whose tableau is T^T.
-    return _peel(tableaux.check_tableau(tableaux.transpose(t)))
+    # f by its definition: the involution whose tableau is T^T.  T came
+    # from the insertion, so T^T is standard and is not checked again.
+    return _peel(tableaux.transpose(t))
 
 
 def _by_evacuation(p: Sequence[int], t: Tableau) -> Perm:
     # f(p) reversed has insertion tableau T and recording tableau P(p#).
+    # Both come from the insertion, and P(p#) = evac(T) has T's shape, so
+    # the pair is not checked again.
     n = len(p)
     sharp = tuple(n + 1 - x for x in reversed(p))
-    return reverse(inverse_rsk((t, _involution_tableau(sharp))))
+    return reverse(inverse_rsk_unchecked(t, _involution_tableau(sharp)))
 
 
 def f_involution(p: Sequence[int]) -> Perm:

@@ -4,22 +4,24 @@ or tableau) up to a size bound.
 Each check names a stream of instances and a predicate that must hold on
 every one of them; ``_check`` walks the stream, counts instances, and
 collects counterexamples.  GFK-tightness is decided here by the subset
-oracle of ``rsinv.greene`` and pattern avoidance by the pattern scan, both
-independent of insertion, so the checks test the insertion-based answers
-rather than repeat them; likewise A_n is summed here over every partition
-to check the dynamic programme of ``enumeration.count_A``.  Suites bundle
-related checks.  The CLI exposes them so the whole battery can be
-reproduced without a test runner, and the test suite asserts them at the
-sizes fixed in tests/test_acceptance.py.
+oracle of ``rsinv.greene`` and pattern avoidance by the pattern search,
+both independent of insertion, so the checks test the insertion-based
+answers rather than repeat them; likewise A_n is summed here over every
+partition to check the dynamic programme of ``enumeration.count_A``.
+Suites bundle related checks.  The CLI exposes them so the whole battery
+can be reproduced without a test runner, refusing up front a size at
+which some check would walk more than INSTANCE_BUDGET instances, and the
+test suite asserts them at the sizes fixed in tests/test_acceptance.py.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
+from math import factorial
 from typing import Any, Callable, Iterable, Iterator
 
 from . import direct, enumeration, greene, tableaux
-from .errors import InstanceTooLarge
+from .errors import DomainError, InstanceTooLarge
 from .insertion import f_involution, inverse_rsk, is_gfk_tight, rsk, tableau_of_involution
 from .permutations import (
     all_permutations,
@@ -479,6 +481,82 @@ SUITES: dict[str, list[Callable[..., CheckResult]]] = {
         check_family_counts,
     ],
 }
+
+
+#: most instances, summed over sizes, that one check may walk when
+#: ``--max-n`` overrides its default size; ``require_budget`` refuses a run
+#: past it before any check starts.  Every check of the default battery is
+#: under it (the largest walk is the 46,234 permutations with n <= 8), and
+#: so are the permutation checks at n <= 9 (409,114), but not at n <= 10
+#: (4,037,914).
+INSTANCE_BUDGET = 10**6
+
+#: check -> instances it walks at size n.  A check whose instances are
+#: sizes counts what it builds at each: the members of the families it
+#: lists, or count_A's dynamic-programme steps (fewer than (n+1)^3).  A
+#: size past a check's own cap counts 0, as does every larger size.
+WALKS: dict[Callable[..., CheckResult], Callable[[int], int]] = {
+    check_roundtrip: factorial,
+    check_schuetzenberger: factorial,
+    check_reversal_transpose: factorial,
+    check_descent_transport: factorial,
+    check_f_twice: enumeration.count_involutions,
+    check_shape_prefix_sums: factorial,
+    check_profile_monotone: factorial,
+    check_jog_lower_bound: factorial,
+    check_record_breaker_column: factorial,
+    check_layered_tableau_sets: lambda n: enumeration.count_involutions(n)
+    + 2 * enumeration.count_layered(n),
+    check_tight_vs_transposed_layer: enumeration.count_involutions,
+    check_layered_vs_dually_tight: factorial,
+    check_layer_jog_transport: enumeration.count_layered,
+    check_ascent_flip: enumeration.count_involutions,
+    check_general_equivalence: factorial,
+    check_shape_jog_multisets: factorial,
+    check_direct_gfk: enumeration.count_involutions,
+    check_direct_123: enumeration.count_involutions,
+    check_two_row_roundtrip: enumeration.count_involutions,
+    check_shortcut: enumeration.count_involutions,
+    check_formula_vs_scan: lambda n: factorial(n) if n <= enumeration.BRUTE_COUNT_CAP else 0,
+    check_pairs_distinct: enumeration.count_A,
+    check_composition_total: enumeration.partition_count,
+    check_exponential_bounds: lambda n: (n + 1) ** 3,
+    check_partition_recurrence: enumeration.partition_count,
+    check_family_counts: lambda n: 2 * (
+        enumeration.count_involutions(n) + enumeration.count_layered(n)
+    ),
+}
+
+
+def walked(check: Callable[..., CheckResult], max_n: int) -> int:
+    """Instances ``check`` walks over sizes 0..max_n (an upper bound on the
+    instances it counts), summed until the total passes INSTANCE_BUDGET."""
+    total = 0
+    for n in range(max_n + 1):
+        count = WALKS[check](n)
+        if not count:
+            break
+        total += count
+        if total > INSTANCE_BUDGET:
+            break
+    return total
+
+
+def _check_name(check: Callable[..., CheckResult]) -> str:
+    """The name a check reports, read off its function name."""
+    return check.__name__.removeprefix("check_").replace("_", "-")
+
+
+def require_budget(names: Iterable[str], max_n: int) -> None:
+    """Raise DomainError, running nothing, if at max_n some check of these
+    suites walks more than INSTANCE_BUDGET instances."""
+    for name in names:
+        for check in SUITES[name]:
+            if walked(check, max_n) > INSTANCE_BUDGET:
+                raise DomainError(
+                    f"{name}/{_check_name(check)} walks more than {INSTANCE_BUDGET}"
+                    f" instances at max-n {max_n}; lower --max-n"
+                )
 
 
 def run_suite(name: str, max_n: int | None = None) -> list[CheckResult]:

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 import rsinv
-from rsinv import cli, insertion
+from rsinv import cli, insertion, verify
 from rsinv.cli import run
 from rsinv.enumeration import involutions, layered_from_composition
 from rsinv.permutations import decreasing, format_permutation
@@ -349,6 +350,41 @@ def test_verify_negative_max_n(capsys):
     out, err = out_of(capsys)
     assert out == ""
     assert err == "error: n must be nonnegative, got -1\n"
+
+
+def test_verify_refuses_a_run_past_the_instance_budget(capsys, monkeypatch):
+    started = []
+    monkeypatch.setattr(verify, "_check", lambda name, *args, **kwargs: started.append(name))
+    assert run(["verify", "--suite", "rsk", "--max-n", "13"]) == 2
+    out, err = out_of(capsys)
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: rsk/roundtrip walks more than 1000000 instances at max-n 13")
+    # a later suite over the budget stops the earlier ones from starting
+    assert run(["verify", "--suite", "all", "--max-n", "10"]) == 2
+    out, err = out_of(capsys)
+    assert out == "" and err.startswith("error: rsk/roundtrip walks more than")
+    assert run(["verify", "--suite", "counting", "--max-n", str(10**18)]) == 2
+    out, err = out_of(capsys)
+    assert out == "" and err.startswith("error: counting/pairs-distinct walks more than")
+    assert started == []
+
+
+def test_instance_budget_bounds_every_check():
+    # Every check of the default battery fits the budget, and what a check
+    # is said to walk bounds what it counts.
+    for suite, checks in verify.SUITES.items():
+        for check in checks:
+            default = inspect.signature(check).parameters["max_n"].default
+            assert verify.walked(check, default) <= verify.INSTANCE_BUDGET, check
+            result = check(5)
+            assert result.ok and result.checked <= verify.walked(check, 5), result
+            assert verify._check_name(check) == result.name
+    assert verify.walked(verify.check_jog_lower_bound, 8) == 46234
+    assert verify.walked(verify.check_direct_123, 10) == 13232
+    assert verify.walked(verify.check_roundtrip, 9) <= verify.INSTANCE_BUDGET
+    assert verify.walked(verify.check_roundtrip, 10) > verify.INSTANCE_BUDGET
+    # a check clamped to its own cap walks no more past it
+    assert verify.walked(verify.check_formula_vs_scan, 10**18) == 46234
 
 
 def test_verify_rsk_small(capsys):

@@ -1,8 +1,11 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
-from rsinv.enumeration import brute_count_general
+from rsinv import greene, permutations
+from rsinv.enumeration import brute_count_general, layered_from_composition
 from rsinv.errors import DomainError, InstanceTooLarge, InvalidPermutation
 from rsinv.greene import (
     _cached_profile,
@@ -100,20 +103,86 @@ def reverse_complement(p):
     return tuple(n + 1 - v for v in reversed(p))
 
 
+def reference_subset_profile(values):
+    # The oracle's definition, walked literally: every one of the 2^n
+    # position subsets, each with the longest decreasing chain it induces.
+    n = len(values)
+    best = [0] * (n + 1)
+    chosen = []  # (value, longest chain ending here)
+
+    def explore(i, longest):
+        if i == n:
+            if len(chosen) > best[longest]:
+                best[longest] = len(chosen)
+            return
+        explore(i + 1, longest)
+        x = values[i]
+        ending = 1
+        for v, c in chosen:
+            if v > x and c >= ending:
+                ending = c + 1
+        chosen.append((x, ending))
+        explore(i + 1, ending if ending > longest else longest)
+        chosen.pop()
+
+    explore(0, 0)
+    for k in range(1, n + 1):
+        if best[k] < best[k - 1]:
+            best[k] = best[k - 1]
+    return tuple(best)
+
+
 def test_symmetry_keyed_profile_equals_the_raw_scan():
-    # The cache is keyed by the least of p, p^-1, p^rc and (p^rc)^-1; each
-    # profile served from it must be the raw scan of p itself.
+    # The dynamic programme on p and on each image under the symmetries,
+    # and the profile served from the cache keyed by the least of p, p^-1,
+    # p^rc and (p^rc)^-1, must all be the subset walk of p itself.
     _cached_profile.cache_clear()
     for n in range(8):
         for p in all_permutations(n):
-            raw = _subset_profile(p)
+            raw = reference_subset_profile(p)
             assert k_increasing_profile(p) == raw, p
             rc = reverse_complement(p)
-            images = (inverse(p), rc, inverse(rc))
+            images = (p, inverse(p), rc, inverse(rc))
             assert all(_subset_profile(image) == raw for image in images), p
     # Reversal is not a symmetry: it swaps increasing and decreasing.
     assert _subset_profile((1, 2, 3)) != _subset_profile(reverse((1, 2, 3)))
     assert _cached_profile.cache_info().maxsize is not None
+
+
+def test_subset_profile_equals_the_subset_walk_at_large_n():
+    # every n <= 7 is covered above
+    rng = random.Random(9)
+    words = [tuple(rng.sample(range(1, n + 1), n)) for n in range(12, 17) for _ in range(2)]
+    words += [identity(16), decreasing(16), layered_from_composition((3, 1, 4, 1, 5, 2))]
+    for p in words:
+        assert _subset_profile(p) == reference_subset_profile(p), p
+
+
+def test_references_use_no_insertion_and_no_patience_sorting():
+    # The oracle and the pattern search are what the insertion-based and
+    # patience-sorting answers are checked against, so they may use neither.
+    patience = {"longest_decreasing", "prefix_lds_lengths", "record_breakers"}
+    tree = ast.parse(Path(greene.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert "insertion" not in (node.module or ""), ast.dump(node)
+            assert not patience & {alias.name for alias in node.names}, ast.dump(node)
+        elif isinstance(node, ast.Import):
+            assert not any("insertion" in alias.name for alias in node.names)
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            assert getattr(node, "id", getattr(node, "attr", None)) not in patience
+    tree = ast.parse(Path(permutations.__file__).read_text(encoding="utf-8"))
+    (search,) = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "contains_pattern"
+    ]
+    called = {
+        getattr(node.func, "id", getattr(node.func, "attr", None))
+        for node in ast.walk(search)
+        if isinstance(node, ast.Call)
+    }
+    assert not called & (patience | {"avoids"}), called
 
 
 def test_oracle_refuses_a_non_permutation():

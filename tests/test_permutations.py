@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -251,8 +252,8 @@ def test_monotone_patterns_answer_past_the_scan_budget():
 
 
 def test_contains_pattern_agrees_with_standardization():
-    # the argsort comparison against pattern_of, the definition of order
-    # type, on every pattern of length <= 4 and every word of length <= 7
+    # the search against pattern_of, the definition of order type, on
+    # every pattern of length <= 4 and every word of length <= 7
     every = [q for k in range(5) for q in all_permutations(k)]
     for n in range(8):
         for p in all_permutations(n):
@@ -262,6 +263,22 @@ def test_contains_pattern_agrees_with_standardization():
     # a repeated value has no order type, so it matches no pattern
     assert not contains_pattern((1, 1), (1, 2))
     assert contains_pattern((2, 2, 1, 3), (2, 1, 3))
+
+
+def test_contains_pattern_agrees_with_standardization_for_long_patterns():
+    # every pattern of length 5 and 6, on seeded words of length 9, some
+    # with repeated values
+    rng = random.Random(11)
+    words = [tuple(rng.sample(range(1, 10), 9)) for _ in range(12)]
+    words += [tuple(rng.choice(range(1, 7)) for _ in range(9)) for _ in range(4)]
+    patterns = [q for k in (5, 6) for q in all_permutations(k)]
+    found = 0
+    for p in words:
+        contained = {pattern_of(sub) for k in (5, 6) for sub in combinations(p, k)}
+        for q in patterns:
+            assert contains_pattern(p, q) == (q in contained), (p, q)
+        found += len(contained & set(patterns))
+    assert 0 < found < len(words) * len(patterns)
 
 
 def test_pattern_of():

@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from rsinv import insertion
-from rsinv.enumeration import involutions
+from rsinv import insertion, tableaux
+from rsinv.enumeration import count_A, generalized_layered, involutions
 from rsinv.errors import (
     DuplicateEntry,
     InvalidTableau,
@@ -153,6 +153,22 @@ def test_f_route_follows_the_shape(monkeypatch):
     # no fixed points: T is near square, and evacuation costs one more insertion
     f_involution(seeded_involution(7, 2003, 1.0))
     assert taken == ["_by_evacuation", "_by_transpose"]
+
+
+def test_tableaux_the_library_built_are_not_checked_again(monkeypatch):
+    # f inserts T itself and generalized_layered builds both tableaux of
+    # each pair, so only a tableau from outside, as inverse_rsk gets, is
+    # checked.
+    def check_tableau(t):
+        raise AssertionError(f"checked a tableau the library built: {t}")
+
+    monkeypatch.setattr(tableaux, "check_tableau", check_tableau)
+    for paired in (0.2, 1.0):  # the evacuation route, then the transpose route
+        q = seeded_involution(7, 2003, paired)
+        assert f_involution(f_involution(q)) == q
+    assert len(set(generalized_layered(6))) == count_A(6)
+    with pytest.raises(AssertionError, match="checked a tableau"):
+        inverse_rsk((((1, 2),), ((1, 2),)))
 
 
 @given(perms(max_n=7))
