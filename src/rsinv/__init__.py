@@ -3,7 +3,6 @@ direct constructions of it on special permutation classes, an independent
 insertion-free subsequence oracle, and exhaustive verification at small sizes.
 """
 from .enumeration import (
-    brute_count_general,
     comp_count,
     compositions,
     count_A,

@@ -17,13 +17,13 @@ from .errors import (
     Not123Avoiding,
     Not321Avoiding,
     NotGfkTight,
-    NotInvolution,
     ShortcutInapplicable,
     TooManyRows,
 )
 from .insertion import is_gfk_tight
 from .permutations import (
     Perm,
+    check_involution,
     check_permutation,
     classify_entries,
     is_involution,
@@ -58,9 +58,7 @@ def f_gfk_tight_direct(p: Sequence[int]) -> Perm:
     >>> f_gfk_tight_direct((6, 7, 3, 4, 8, 1, 2, 5, 9))
     (2, 1, 5, 4, 3, 9, 8, 7, 6)
     """
-    p = check_permutation(p)
-    if not is_involution(p):
-        raise NotInvolution(f"not an involution: {p}")
+    p = check_involution(p)
     if not is_gfk_tight(p):
         raise NotGfkTight(f"not GFK-tight: {p}")
     out: list[int] = []
@@ -77,12 +75,9 @@ def tableau_of_321_avoiding(p: Sequence[int]) -> Tableau:
     >>> tableau_of_321_avoiding((1, 3, 2, 5, 4, 6, 7))
     ((1, 2, 4, 6, 7), (3, 5))
     """
-    p = check_permutation(p)
-    if not is_involution(p):
-        raise NotInvolution(f"not an involution: {p}")
+    fixed, small, large = classify_entries(p)  # refuses a non-involution
     if longest_decreasing(p) > 2:
-        raise Not321Avoiding(f"contains 321: {p}")
-    fixed, small, large = classify_entries(p)
+        raise Not321Avoiding(f"contains 321: {tuple(p)}")
     rows = [sorted(fixed | small)]
     if large:
         rows.append(sorted(large))
@@ -131,9 +126,7 @@ def f_123_avoiding_direct(p: Sequence[int]) -> Perm:
     >>> f_123_avoiding_direct((6, 5, 7, 4, 2, 1, 3))
     (1, 3, 2, 4, 5, 7, 6)
     """
-    p = check_permutation(p)
-    if not is_involution(p):
-        raise NotInvolution(f"not an involution: {p}")
+    p = check_involution(p)
     if longest_decreasing(reverse(p)) > 2:
         raise Not123Avoiding(f"contains 123: {p}")
     breakers = record_breakers(p)

@@ -1,27 +1,24 @@
 """Generators for permutation and tableau families, partition machinery,
-and the count of permutations whose insertion and recording tableaux are
-both layered.
+and counts: of partitions, involutions, layered permutations, and the
+permutations whose insertion and recording tableaux are both layered.
 
 All streams are lazy with documented deterministic orders, and yield
-nothing for a negative size; all counts use exact integer arithmetic.
+nothing for a negative size; all counts use exact integer arithmetic in
+polynomial time.  The slow references they are checked against, the
+partition sum and the factorial scan with the subset oracle, are in
+``rsinv.verify``, so nothing here imports the oracle.
 """
 from __future__ import annotations
 
-from itertools import permutations as _symmetric_group
 from math import comb, factorial
 from typing import Iterator, Sequence
 
-from .errors import InstanceTooLarge
-from .greene import env_cap, oracle_is_dually_gfk_tight
 from .insertion import inverse_rsk_unchecked
-from .permutations import Perm, inverse
+from .permutations import Perm
 from .tableaux import Tableau, as_tableau, conjugate
 
 Partition = tuple[int, ...]
 Composition = tuple[int, ...]
-
-#: largest n for which the n!-scan count is allowed
-BRUTE_COUNT_CAP = 8
 
 
 def partitions(n: int) -> Iterator[Partition]:
@@ -346,22 +343,6 @@ def generalized_layered(n: int) -> Iterator[Perm]:
             p_tab = layered_tableau(p_parts)
             for q_parts in _rearrangements(layer_lengths):
                 yield inverse_rsk_unchecked(p_tab, layered_tableau(q_parts))
-
-
-def brute_count_general(n: int) -> int:
-    """
-    Count, by full n!-scan with the subset oracle, the permutations p such
-    that p and its inverse are both dually GFK-tight.  Must agree with
-    count_A; capped because the scan is factorial.
-    """
-    cap = env_cap(BRUTE_COUNT_CAP)
-    if n > cap:
-        raise InstanceTooLarge(f"factorial scan capped at n <= {cap}, got {n}")
-    count = 0
-    for p in _symmetric_group(range(1, n + 1)):
-        if oracle_is_dually_gfk_tight(p) and oracle_is_dually_gfk_tight(inverse(p)):
-            count += 1
-    return count
 
 
 def verify_bounds(n: int) -> bool:

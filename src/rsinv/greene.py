@@ -34,18 +34,17 @@ four-element group, under the least of the four images.  Reversal alone
 is not in the group: it swaps increasing and decreasing chains, so (1, 2, 3)
 and (3, 2, 1) have different profiles.  The cache holds 2^14 orbits, more
 than the 12,242 of all permutations with n <= 8, and every call checks
-the size cap (16, lowered by RSINV_MAX_N) before the cache.  The
-k-decreasing profile and dual tightness of p are the k-increasing profile
-and tightness of the reversed word, so one programme and one cache serve
+the size cap, ORACLE_CAP = 16, before the cache.  The k-decreasing
+profile and dual tightness of p are the k-increasing profile and
+tightness of the reversed word, so one programme and one cache serve
 both sides.
 """
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import DomainError, InstanceTooLarge, InvalidPermutation
+from .errors import InstanceTooLarge, InvalidPermutation
 from .permutations import Interval, jogs, reverse
 
 #: largest n the subset oracle will accept
@@ -55,20 +54,9 @@ ORACLE_CAP = 16
 CACHE_SIZE = 2**14
 
 
-def env_cap(cap: int) -> int:
-    """cap, lowered to RSINV_MAX_N when that is set, for constrained runs.
-    Raises DomainError unless the value is a nonnegative integer."""
-    env = os.environ.get("RSINV_MAX_N", "").strip()
-    if not env:
-        return cap
-    if not env.isdecimal():
-        raise DomainError(f"RSINV_MAX_N must be a nonnegative integer, got {env!r}")
-    return min(cap, int(env))
-
-
 def oracle_cap() -> int:
-    """Effective oracle cap, lowered by RSINV_MAX_N."""
-    return env_cap(ORACLE_CAP)
+    """The largest n the subset oracle accepts, ORACLE_CAP."""
+    return ORACLE_CAP
 
 
 def _subset_profile(values: tuple[int, ...]) -> tuple[int, ...]:
@@ -145,9 +133,8 @@ def k_increasing_profile(p: Sequence[int]) -> tuple[int, ...]:
     """profile[k] = length of the longest k-increasing subsequence, k = 0..n.
     Raises InstanceTooLarge past the oracle cap, cached or not, and
     InvalidPermutation unless p is a permutation of 1..n."""
-    cap = oracle_cap()
-    if len(p) > cap:
-        raise InstanceTooLarge(f"subset oracle capped at n <= {cap}, got {len(p)}")
+    if len(p) > ORACLE_CAP:
+        raise InstanceTooLarge(f"subset oracle capped at n <= {ORACLE_CAP}, got {len(p)}")
     return _cached_profile(_canonical(tuple(p)))
 
 

@@ -46,8 +46,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import tableaux
-from .errors import DuplicateEntry, NotInvolution, ShapeMismatch
-from .permutations import Perm, check_permutation, is_involution, jogs, reverse
+from .errors import DuplicateEntry, ShapeMismatch
+from .permutations import Perm, check_involution, check_permutation, is_involution, jogs, reverse
 from .tableaux import Tableau
 
 
@@ -200,10 +200,7 @@ def tableau_of_involution(p: Sequence[int]) -> Tableau:
     >>> tableau_of_involution((2, 1, 5, 4, 3, 9, 8, 7, 6))
     ((1, 3, 6), (2, 4, 7), (5, 8), (9,))
     """
-    q = check_permutation(p)
-    if not is_involution(q):
-        raise NotInvolution(f"not an involution: {q}")
-    return _involution_tableau(q)
+    return _involution_tableau(check_involution(p))
 
 
 def _by_transpose(t: Tableau) -> Perm:

@@ -142,8 +142,28 @@ def reverse(p: Sequence[int]) -> Perm:
 
 
 def is_involution(p: Sequence[int]) -> bool:
-    """True iff p composed with itself is the identity."""
-    return all(p[v - 1] == i + 1 for i, v in enumerate(p))
+    """
+    True iff p composed with itself is the identity; False for a word that
+    is not a permutation.
+
+    >>> [is_involution(w) for w in [(2, 1, 3), (2, 3, 1), (2,), (3, 1)]]
+    [True, False, False, False]
+    """
+    # A value past n indexes out of the word.  A value below 1 indexes from
+    # its end, but then some m in 1..n is missing from p, so p_(p_m) = m fails.
+    try:
+        return all(p[v - 1] == i + 1 for i, v in enumerate(p))
+    except IndexError:
+        return False
+
+
+def check_involution(p: Sequence[int]) -> Perm:
+    """Return p as a tuple, raising InvalidPermutation if it is not a
+    permutation and NotInvolution if it is not an involution."""
+    p = check_permutation(p)
+    if not is_involution(p):
+        raise NotInvolution(f"not an involution: {p}")
+    return p
 
 
 def classify_entries(p: Sequence[int]) -> EntryClassification:
@@ -154,10 +174,8 @@ def classify_entries(p: Sequence[int]) -> EntryClassification:
     >>> classify_entries((2, 1, 3)) == (frozenset({3}), frozenset({1}), frozenset({2}))
     True
     """
-    if not is_involution(p):
-        raise NotInvolution(f"not an involution: {tuple(p)}")
     fixed, small, large = set(), set(), set()
-    for i, v in enumerate(p, start=1):
+    for i, v in enumerate(check_involution(p), start=1):
         if v == i:
             fixed.add(i)
         elif i < v:

@@ -7,11 +7,13 @@ collects counterexamples.  GFK-tightness is decided here by the subset
 oracle of ``rsinv.greene`` and pattern avoidance by the pattern search,
 both independent of insertion, so the checks test the insertion-based
 answers rather than repeat them; likewise A_n is summed here over every
-partition to check the dynamic programme of ``enumeration.count_A``.
-Suites bundle related checks.  The CLI exposes them so the whole battery
-can be reproduced without a test runner, refusing up front a size at
-which some check would walk more than INSTANCE_BUDGET instances, and the
-test suite asserts them at the sizes fixed in tests/test_acceptance.py.
+partition, and counted by a factorial scan with the oracle, to check the
+dynamic programme of ``enumeration.count_A``.  Each reference refuses an
+instance past its own cap: ORACLE_CAP in ``rsinv.greene``, BRUTE_COUNT_CAP
+here.  Suites bundle related checks.  The CLI exposes them so the whole
+battery can be reproduced without a test runner, refusing up front a size
+at which some check would walk more than INSTANCE_BUDGET instances, and
+the test suite asserts them at the sizes fixed in tests/test_acceptance.py.
 """
 from __future__ import annotations
 
@@ -358,11 +360,27 @@ def check_shortcut(max_n: int = 8) -> CheckResult:
 # ----------------------------------------------------------- counting suite
 
 
+#: largest n for which the n!-scan count is allowed
+BRUTE_COUNT_CAP = 8
+
+
 def count_A_by_partitions(n: int) -> int:
     """A_n as the literal sum of comp_count(h)**2 over the p(n) partitions
     h of n: the reference that count_A's dynamic programme is checked
     against."""
     return sum(enumeration.comp_count(h) ** 2 for h in enumeration.partitions(n))
+
+
+def brute_count_general(n: int) -> int:
+    """
+    Count, by full n!-scan with the subset oracle, the permutations p such
+    that p and its inverse are both dually GFK-tight.  Must agree with
+    count_A; capped because the scan is factorial.
+    """
+    if n > BRUTE_COUNT_CAP:
+        raise InstanceTooLarge(f"factorial scan capped at n <= {BRUTE_COUNT_CAP}, got {n}")
+    tight = greene.oracle_is_dually_gfk_tight
+    return sum(1 for p in all_permutations(n) if tight(p) and tight(inverse(p)))
 
 
 def check_formula_vs_scan(max_n: int = 7) -> CheckResult:
@@ -371,10 +389,8 @@ def check_formula_vs_scan(max_n: int = 7) -> CheckResult:
     agree."""
     return _check(
         "formula-vs-scan",
-        range(1, min(max_n, enumeration.BRUTE_COUNT_CAP) + 1),
-        lambda n: enumeration.count_A(n)
-        == count_A_by_partitions(n)
-        == enumeration.brute_count_general(n),
+        range(1, min(max_n, BRUTE_COUNT_CAP) + 1),
+        lambda n: enumeration.count_A(n) == count_A_by_partitions(n) == brute_count_general(n),
     )
 
 
@@ -517,7 +533,7 @@ WALKS: dict[Callable[..., CheckResult], Callable[[int], int]] = {
     check_direct_123: enumeration.count_involutions,
     check_two_row_roundtrip: enumeration.count_involutions,
     check_shortcut: enumeration.count_involutions,
-    check_formula_vs_scan: lambda n: factorial(n) if n <= enumeration.BRUTE_COUNT_CAP else 0,
+    check_formula_vs_scan: lambda n: factorial(n) if n <= BRUTE_COUNT_CAP else 0,
     check_pairs_distinct: enumeration.count_A,
     check_composition_total: enumeration.partition_count,
     check_exponential_bounds: lambda n: (n + 1) ** 3,

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import rsinv
-from rsinv import cli, insertion, verify
+from rsinv import cli, greene, insertion, verify
 from rsinv.cli import run
 from rsinv.enumeration import involutions, layered_from_composition
 from rsinv.permutations import decreasing, format_permutation
@@ -144,7 +144,7 @@ def test_tableau_direct_needs_321_avoidance(capsys):
 
 
 def test_oracle_cap_env(monkeypatch, capsys):
-    monkeypatch.setenv("RSINV_MAX_N", "6")
+    monkeypatch.setattr(greene, "ORACLE_CAP", 6)
     assert run(["verify", "--suite", "greene"]) == 1
     out, err = out_of(capsys)
     assert err == ""
@@ -158,26 +158,31 @@ def test_oracle_cap_env(monkeypatch, capsys):
         "greene/record-breaker-column: PASS (5914 instances)",
         "greene: FAIL (8536 instances)",
     ]
-    monkeypatch.setenv("RSINV_MAX_N", "4")
+    monkeypatch.setattr(greene, "ORACLE_CAP", 4)
+    monkeypatch.setattr(verify, "BRUTE_COUNT_CAP", 4)
     assert run(["verify", "--suite", "counting", "--max-n", "6"]) == 1
     out, _ = out_of(capsys)
     lines = out.splitlines()
-    assert "counting/formula-vs-scan: FAIL (4 instances)" in lines
-    assert "  formula-vs-scan stops at n=5: factorial scan capped at n <= 4, got 5" in lines
+    # formula-vs-scan clamps its sizes to the cap that the scan enforces
+    assert "counting/formula-vs-scan: PASS (4 instances)" in lines
     assert "  pairs-distinct stops at n=5: subset oracle capped at n <= 4, got 5" in lines
     assert "counting/composition-total: PASS (6 instances)" in lines
-    # the answering paths no longer read the cap
+    # the answering paths do not read the cap
     assert run(["check", "1 2 3 4 5", "--prop", "gfk-tight"]) == 0
     capsys.readouterr()
-    for bad in ("abc", "-3"):
-        monkeypatch.setenv("RSINV_MAX_N", bad)
-        assert run(["verify", "--suite", "counting", "--max-n", "3"]) == 2
-        out, err = out_of(capsys)
-        assert out == "" and err.count("\n") == 1
-        assert err.startswith("error: RSINV_MAX_N") and repr(bad) in err
-    monkeypatch.delenv("RSINV_MAX_N")
+    monkeypatch.undo()
     assert run(["verify", "--suite", "counting", "--max-n", "6"]) == 0
     capsys.readouterr()
+
+
+def test_rsinv_max_n_has_no_effect(monkeypatch, capsys):
+    monkeypatch.delenv("RSINV_MAX_N", raising=False)
+    assert run(["verify", "--suite", "greene"]) == 0
+    unset = out_of(capsys)
+    for value in ("4", "abc"):
+        monkeypatch.setenv("RSINV_MAX_N", value)
+        assert run(["verify", "--suite", "greene"]) == 0
+        assert out_of(capsys) == unset, value
 
 
 def test_tightness_and_direct_past_the_oracle_cap(capsys):

@@ -3,7 +3,6 @@ import sys
 import pytest
 
 from rsinv.enumeration import (
-    brute_count_general,
     comp_count,
     compositions,
     count_A,
@@ -25,6 +24,7 @@ from rsinv.insertion import inverse_rsk, tableau_of_involution
 from rsinv.permutations import is_involution, is_layered
 from rsinv.tableaux import is_layered_tableau, shape, validate
 from rsinv.verify import (
+    brute_count_general,
     check_family_counts,
     check_partition_recurrence,
     check_shape_jog_multisets,

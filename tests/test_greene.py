@@ -4,9 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from rsinv import greene, permutations
-from rsinv.enumeration import brute_count_general, layered_from_composition
-from rsinv.errors import DomainError, InstanceTooLarge, InvalidPermutation
+from rsinv import greene, permutations, verify
+from rsinv.enumeration import layered_from_composition
+from rsinv.errors import InstanceTooLarge, InvalidPermutation
 from rsinv.greene import (
     _cached_profile,
     _subset_profile,
@@ -30,6 +30,7 @@ from rsinv.permutations import (
     reverse,
 )
 from rsinv.verify import (
+    brute_count_general,
     check_jog_lower_bound,
     check_profile_monotone,
     check_record_breaker_column,
@@ -69,6 +70,7 @@ def test_k_must_be_positive():
 
 
 def test_oracle_cap(monkeypatch):
+    assert greene.oracle_cap() == greene.ORACLE_CAP == 16
     for call in (
         lambda p: longest_k_increasing(p, 1),
         oracle_is_gfk_tight,
@@ -78,8 +80,8 @@ def test_oracle_cap(monkeypatch):
             call(identity(17))
     with pytest.raises(InstanceTooLarge):
         brute_count_general(9)
-    monkeypatch.setenv("RSINV_MAX_N", "4")
-    with pytest.raises(InstanceTooLarge):
+    monkeypatch.setattr(verify, "BRUTE_COUNT_CAP", 4)
+    with pytest.raises(InstanceTooLarge, match="factorial scan capped at n <= 4, got 5"):
         brute_count_general(5)
     assert brute_count_general(4) == 16
 
@@ -88,14 +90,11 @@ def test_oracle_cap_is_checked_on_cache_hits(monkeypatch):
     p = (2, 4, 1, 5, 3)
     assert k_increasing_profile(p) == (0, 3, 5, 5, 5, 5)
     assert k_increasing_profile(p) == (0, 3, 5, 5, 5, 5)  # now a cache hit
-    monkeypatch.setenv("RSINV_MAX_N", "4")
+    monkeypatch.setattr(greene, "ORACLE_CAP", 4)
     with pytest.raises(InstanceTooLarge):
         k_increasing_profile(p)
     with pytest.raises(InstanceTooLarge):
         oracle_is_gfk_tight(p)
-    monkeypatch.setenv("RSINV_MAX_N", "abc")
-    with pytest.raises(DomainError, match="RSINV_MAX_N"):
-        longest_k_increasing(p, 2)
 
 
 def reverse_complement(p):
@@ -183,6 +182,25 @@ def test_references_use_no_insertion_and_no_patience_sorting():
         if isinstance(node, ast.Call)
     }
     assert not called & (patience | {"avoids"}), called
+
+
+def test_no_environment_reads_and_no_oracle_in_enumeration():
+    # Each brute-force cap is a constant in the module that enforces it,
+    # and the polynomial counts in enumeration leave the oracle to verify.
+    src = Path(greene.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in {"environ", "getenv"}, path.name
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                assert not {a.name for a in node.names} & {"environ", "getenv"}, path.name
+    imported = set()
+    for node in ast.walk(ast.parse((src / "enumeration.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module or ""} | {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert not any("greene" in name for name in imported), imported
 
 
 def test_oracle_refuses_a_non_permutation():

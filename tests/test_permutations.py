@@ -81,6 +81,8 @@ def test_reverse(p, expected):
         ((6, 7, 3, 4, 8, 1, 2, 5, 9), True),
         (identity(5), True),
         ((), True),
+        ((2,), False),
+        ((3, 1), False),
     ],
 )
 def test_is_involution(p, expected):
@@ -97,8 +99,11 @@ def test_classify_entries():
 
 
 def test_classify_entries_rejects_non_involution():
-    with pytest.raises(NotInvolution):
+    with pytest.raises(NotInvolution, match=r"not an involution: \(1, 3, 4, 2\)"):
         classify_entries((1, 3, 4, 2))
+    for word in ((2,), (3, 1)):
+        with pytest.raises(InvalidPermutation):
+            classify_entries(word)
 
 
 @pytest.mark.parametrize(
