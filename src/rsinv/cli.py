@@ -62,7 +62,9 @@ FAMILIES = {
     "generalized": (enumeration.generalized_layered, format_permutation),
 }
 
-#: count --what name -> exact count of size n
+#: count --what name -> exact count of size n.  Each is at least 2^(n-1)
+#: for n >= 1: A_n = sum comp_count(h)^2 >= sum comp_count(h) = 2^(n-1),
+#: and I(n) = I(n-1) + (n-1) I(n-2) >= 2^(n-2) + 2^(n-2) by induction.
 COUNTS = {
     "A": enumeration.count_A,
     "layered": enumeration.count_layered,
@@ -198,14 +200,20 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_count(args) -> int:
     n = _require_size(args.n)
-    value = COUNTS[args.what](n)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    too_long = DomainError(
+        f"count --what {args.what} at n={n} has more than {digits}"
+        " digits, the interpreter's limit for printing an integer"
+    )
+    # Every count is at least 2^(n-1) (see COUNTS), which is 10^digits or
+    # more, too long to print, once n - 1 reaches the bit length of
+    # 10^digits: refuse before counting.
+    if digits and n - 1 >= (10**digits).bit_length():
+        raise too_long
     try:
-        text = str(value)
-    except ValueError:  # only raised where sys.get_int_max_str_digits exists
-        raise DomainError(
-            f"count --what {args.what} at n={n} has more than {sys.get_int_max_str_digits()}"
-            " digits, the interpreter's limit for printing an integer"
-        ) from None
+        text = str(COUNTS[args.what](n))
+    except ValueError:  # the backstop: only raised where the limit exists
+        raise too_long from None
     print(text)
     return 0
 

@@ -1,26 +1,35 @@
 """Exhaustive verification suites over every permutation (or involution,
-or tableau) up to a size bound.
+or size) up to a size bound.
 
-Each check names a stream of instances and a predicate that must hold on
-every one of them; ``_check`` walks the stream, counts instances, and
-collects counterexamples.  GFK-tightness is decided here by the subset
-oracle of ``rsinv.greene`` and pattern avoidance by the pattern search,
-both independent of insertion, so the checks test the insertion-based
-answers rather than repeat them; likewise A_n is summed here over every
-partition, and counted by a factorial scan with the oracle, to check the
-dynamic programme of ``enumeration.count_A``.  Each reference refuses an
-instance past its own cap: ORACLE_CAP in ``rsinv.greene``, BRUTE_COUNT_CAP
-here.  Suites bundle related checks.  The CLI exposes them so the whole
-battery can be reproduced without a test runner, refusing up front a size
-at which some check would walk more than INSTANCE_BUDGET instances, and
-the test suite asserts them at the sizes fixed in tests/test_acceptance.py.
+A ``Family`` gives the instances of each size n and their exact number:
+permutations and n!, involutions and I(n), layered permutations and
+2^(n-1), or the sizes themselves, each counted as the work a check does
+at it.  A ``Check`` is one row: a name, the family it walks, its default
+size, the predicate that must hold on every instance, and optionally
+which instances it applies to.  Calling a row walks its family through
+``_check``, which counts instances and collects counterexamples.
+``SUITES`` groups the rows, and the CLI runs them so the whole battery
+can be reproduced without a test runner; the test suite asserts them at
+the sizes fixed in tests/test_acceptance.py.  A size given on the command
+line is refused up front when some chosen check would walk more than
+INSTANCE_BUDGET instances, summing its family's counts over the sizes it
+walks.
+
+GFK-tightness is decided here by the subset oracle of ``rsinv.greene``
+and pattern avoidance by the pattern search, both independent of
+insertion, so the checks test the insertion-based answers rather than
+repeat them; likewise A_n is summed here over every partition, and
+counted by a factorial scan with the oracle, to check the dynamic
+programme of ``enumeration.count_A``.  Each reference refuses an instance
+past its own cap: ORACLE_CAP in ``rsinv.greene``, BRUTE_COUNT_CAP here.
 """
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from math import factorial
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable
 
 from . import direct, enumeration, greene, tableaux
 from .errors import DomainError, InstanceTooLarge
@@ -48,6 +57,17 @@ from .tableaux import (
 )
 
 MAX_FAILURES_KEPT = 5
+
+#: most instances, summed over sizes, that one check may walk when
+#: ``--max-n`` overrides its default size; ``require_budget`` refuses a run
+#: past it before any check starts.  Every check of the default battery is
+#: under it (the largest walk is the 46,234 permutations with n <= 8), and
+#: so are the permutation checks at n <= 9 (409,114), but not at n <= 10
+#: (4,037,914).
+INSTANCE_BUDGET = 10**6
+
+#: largest n for which the n!-scan count is allowed
+BRUTE_COUNT_CAP = 8
 
 
 @dataclass
@@ -95,9 +115,71 @@ def _check(
     return res
 
 
-def _upto(family: Callable[[int], Iterable[Any]], max_n: int, start: int = 0) -> Iterator[Any]:
-    """Every member of family(n) for n = start..max_n, in order of n."""
-    return chain.from_iterable(family(n) for n in range(start, max_n + 1))
+@dataclass(frozen=True)
+class Family:
+    """The instances of each size n from ``first`` on, and ``count(n)``, the
+    number of them (for a family of sizes, the work a check does at n).
+    ``last``, when given, is read at each walk and caps the sizes."""
+
+    members: Callable[[int], Iterable[Any]]
+    count: Callable[[int], int]
+    first: int = 0
+    last: Callable[[], int] | None = None
+
+    def sizes(self, max_n: int) -> range:
+        top = max_n if self.last is None else min(max_n, self.last())
+        return range(self.first, top + 1)
+
+
+PERMUTATIONS = Family(all_permutations, factorial)
+INVOLUTIONS = Family(enumeration.involutions, enumeration.count_involutions)
+LAYERED = Family(enumeration.layered_permutations, enumeration.count_layered, first=1)
+
+
+def _sizes(
+    work: Callable[[int], int], first: int = 1, last: Callable[[], int] | None = None
+) -> Family:
+    """The sizes n themselves, each counted as the work a check does at n."""
+    return Family(lambda n: (n,), work, first, last)
+
+
+@dataclass(frozen=True)
+class Check:
+    """One exhaustive check: ``holds`` must be true on every instance of
+    ``family`` up to a size, default ``max_n``, for which ``where`` is."""
+
+    name: str
+    family: Family
+    max_n: int
+    holds: Callable[[Any], bool]
+    where: Callable[[Any], bool] = lambda _: True
+
+    def __call__(self, max_n: int | None = None) -> CheckResult:
+        sizes = self.family.sizes(self.max_n if max_n is None else max_n)
+        instances = chain.from_iterable(map(self.family.members, sizes))
+        return _check(self.name, instances, self.holds, self.where)
+
+    @property
+    def __signature__(self) -> inspect.Signature:
+        """What ``inspect.signature`` reports, so that a caller reads the
+        row's default size as the default of max_n."""
+        kind = inspect.Parameter.POSITIONAL_OR_KEYWORD
+        size = inspect.Parameter("max_n", kind, default=self.max_n)
+        return inspect.Signature([size], return_annotation=CheckResult)
+
+    def walked(self, max_n: int) -> int:
+        """Instances this check walks up to size max_n (an upper bound on
+        the instances it counts), summed until the total passes
+        INSTANCE_BUDGET."""
+        total = 0
+        for n in self.family.sizes(max_n):
+            total += self.family.count(n)
+            if total > INSTANCE_BUDGET:
+                break
+        return total
+
+
+# -------------------------------------------------------- shared predicates
 
 
 def _prefix_sums(parts: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -113,255 +195,91 @@ def _distinct_family(
     return len(members) == len(set(members)) == count and all(map(valid, members))
 
 
-# ---------------------------------------------------------------- rsk suite
+def _lengths(intervals) -> list[int]:
+    """Interval lengths, longest first."""
+    return sorted((iv.length for iv in intervals), reverse=True)
 
 
-def check_roundtrip(max_n: int = 7) -> CheckResult:
-    """inverse_rsk(rsk(p)) == p for every permutation."""
-    return _check("roundtrip", _upto(all_permutations, max_n), lambda p: inverse_rsk(rsk(p)) == p)
+def _tight_both_ways(p) -> bool:
+    """p and its inverse are both GFK-tight, by the oracle."""
+    return greene.oracle_is_gfk_tight(p) and greene.oracle_is_gfk_tight(inverse(p))
 
 
-def check_schuetzenberger(max_n: int = 7) -> CheckResult:
-    """rsk(inverse(p)) swaps the insertion and recording tableaux."""
-    return _check(
-        "schuetzenberger",
-        _upto(all_permutations, max_n),
-        lambda p: rsk(inverse(p)) == rsk(p)[::-1],
+def _dually_tight_both_ways(p) -> bool:
+    """p and its inverse are both dually GFK-tight, by the oracle."""
+    return greene.oracle_is_dually_gfk_tight(p) and greene.oracle_is_dually_gfk_tight(inverse(p))
+
+
+# ---------------------------------------- predicates longer than one expression
+
+
+def _shape_prefix_sums(p) -> bool:
+    rows = shape(rsk(p)[0])
+    return (
+        _prefix_sums(rows, len(p)) == greene.k_increasing_profile(p)[1:]
+        and _prefix_sums(tableaux.conjugate(rows), len(p)) == greene.k_decreasing_profile(p)[1:]
     )
 
 
-def check_reversal_transpose(max_n: int = 7) -> CheckResult:
-    """The insertion tableau of the reversed word is the transpose."""
-    return _check(
-        "reversal-transpose",
-        _upto(all_permutations, max_n),
-        lambda p: rsk(reverse(p))[0] == transpose(rsk(p)[0]),
+def _profile_monotone(p) -> bool:
+    n = len(p)
+    inc = greene.k_increasing_profile(p)
+    lds = longest_decreasing(p)
+    return all(inc[k - 1] <= inc[k] <= n for k in range(1, n + 1)) and all(
+        inc[k] == n for k in range(lds, n + 1)
     )
 
 
-def check_descent_transport(max_n: int = 7) -> CheckResult:
-    """Position descents of p equal entry descents of the recording tableau."""
-    return _check(
-        "descent-transport",
-        _upto(all_permutations, max_n),
-        lambda p: descent_set(p) == tableau_descents(rsk(p)[1]),
+def _jog_lower_bound(p) -> bool:
+    inc = greene.k_increasing_profile(p)
+    return all(total <= inc[k] for k, total in enumerate(accumulate(_lengths(jogs(p))), start=1))
+
+
+def _layered_tableau_sets(n: int) -> bool:
+    from_perms = {tableau_of_involution(w) for w in enumeration.layered_permutations(n)}
+    from_filter = {t for t in enumeration.standard_tableaux(n) if is_layered_tableau(t)}
+    return (
+        from_perms == from_filter == set(enumeration.layered_tableaux(n))
+        and len(from_perms) == 2 ** (n - 1)
     )
 
 
-def check_f_twice(max_n: int = 8) -> CheckResult:
-    """Applying the tableau-transpose map twice is the identity."""
-    return _check(
-        "f-twice",
-        _upto(enumeration.involutions, max_n),
-        lambda p: f_involution(f_involution(p)) == p,
-    )
+def _ascent_flip(p) -> bool:
+    pos = inverse(p)
+    fpos = inverse(f_involution(p))
+    return all(fpos[a - 1] > fpos[a] for a in range(1, len(p)) if pos[a - 1] < pos[a])
 
 
-# ------------------------------------------------------------- greene suite
+def _general_equivalence(p) -> bool:
+    p_tab, q_tab = rsk(p)
+    layered_form = (
+        is_layered_tableau(p_tab) and is_layered_tableau(q_tab)
+    ) == _dually_tight_both_ways(p)
+    transposed_form = (
+        satisfies_transposed_layer(p_tab) and satisfies_transposed_layer(q_tab)
+    ) == _tight_both_ways(p)
+    return layered_form and transposed_form
 
 
-def check_shape_prefix_sums(max_n: int = 7) -> CheckResult:
-    """Row (column) prefix sums of the insertion shape match the oracle's
-    longest k-increasing (k-decreasing) lengths for every k."""
-
-    def holds(p):
-        rows = shape(rsk(p)[0])
-        return (
-            _prefix_sums(rows, len(p)) == greene.k_increasing_profile(p)[1:]
-            and _prefix_sums(tableaux.conjugate(rows), len(p))
-            == greene.k_decreasing_profile(p)[1:]
-        )
-
-    return _check("shape-prefix-sums", _upto(all_permutations, max_n), holds)
-
-
-def check_profile_monotone(max_n: int = 7) -> CheckResult:
-    """Profiles grow weakly, never exceed n, and saturate at n once k
-    reaches the longest decreasing (increasing) subsequence length."""
-
-    def holds(p):
-        n = len(p)
-        inc = greene.k_increasing_profile(p)
-        lds = longest_decreasing(p)
-        return all(inc[k - 1] <= inc[k] <= n for k in range(1, n + 1)) and all(
-            inc[k] == n for k in range(lds, n + 1)
-        )
-
-    return _check("profile-monotone", _upto(all_permutations, max_n), holds)
+#: family-counts: each generator's label -> its check at size n
+_FAMILY_COUNTS: dict[str, Callable[[int], bool]] = {
+    "layered permutations": lambda n: _distinct_family(
+        enumeration.layered_permutations(n), 2 ** (n - 1), is_layered
+    ),
+    "layered tableaux": lambda n: _distinct_family(
+        enumeration.layered_tableaux(n),
+        2 ** (n - 1),
+        lambda t: tableaux.validate(t) and is_layered_tableau(t),
+    ),
+    "involutions": lambda n: _distinct_family(
+        enumeration.involutions(n), enumeration.count_involutions(n), is_involution
+    ),
+    "standard tableaux": lambda n: sum(1 for _ in enumeration.standard_tableaux(n))
+    == enumeration.count_involutions(n),
+}
 
 
-def check_jog_lower_bound(max_n: int = 8) -> CheckResult:
-    """Any k jogs form a k-increasing subsequence, so the k longest jogs
-    bound the oracle value from below."""
-
-    def holds(p):
-        inc = greene.k_increasing_profile(p)
-        lengths = sorted((j.length for j in jogs(p)), reverse=True)
-        return all(total <= inc[k] for k, total in enumerate(accumulate(lengths), start=1))
-
-    return _check("jog-lower-bound", _upto(all_permutations, max_n), holds)
-
-
-def check_record_breaker_column(max_n: int = 7) -> CheckResult:
-    """Record-breakers of p are exactly the first-column entries of the
-    recording tableau."""
-    return _check(
-        "record-breaker-column",
-        _upto(all_permutations, max_n),
-        lambda p: record_breakers(p) == set(first_column(rsk(p)[1])),
-    )
-
-
-# ----------------------------------------------------- characterization suite
-
-
-def check_layered_tableau_sets(max_n: int = 8) -> CheckResult:
-    """Tableaux of layered permutations are exactly the tableaux passing
-    is_layered_tableau; both families have 2^(n-1) members."""
-
-    def holds(n):
-        from_perms = {tableau_of_involution(w) for w in enumeration.layered_permutations(n)}
-        from_filter = {t for t in enumeration.standard_tableaux(n) if is_layered_tableau(t)}
-        return (
-            from_perms == from_filter == set(enumeration.layered_tableaux(n))
-            and len(from_perms) == 2 ** (n - 1)
-        )
-
-    return _check("layered-tableau-sets", range(1, max_n + 1), holds)
-
-
-def check_tight_vs_transposed_layer(max_n: int = 8) -> CheckResult:
-    """An involution's tableau satisfies the transposed layer condition
-    exactly when the involution is GFK-tight."""
-    return _check(
-        "tight-vs-transposed-layer",
-        _upto(enumeration.involutions, max_n),
-        lambda p: satisfies_transposed_layer(tableau_of_involution(p))
-        == greene.oracle_is_gfk_tight(p)
-        == is_gfk_tight(p),
-    )
-
-
-def check_layered_vs_dually_tight(max_n: int = 8) -> CheckResult:
-    """A permutation is layered exactly when it is a dually GFK-tight
-    involution."""
-    return _check(
-        "layered-vs-dually-tight",
-        _upto(all_permutations, max_n),
-        lambda p: is_layered(p) == (is_involution(p) and greene.oracle_is_dually_gfk_tight(p)),
-    )
-
-
-def check_layer_jog_transport(max_n: int = 8) -> CheckResult:
-    """The layers of a layered permutation reappear as the jogs of its
-    image under the tableau-transpose map."""
-    return _check(
-        "layer-jog-transport",
-        _upto(enumeration.layered_permutations, max_n, start=1),
-        lambda w: set(layers(w)) == set(jogs(f_involution(w))),
-    )
-
-
-def check_ascent_flip(max_n: int = 8) -> CheckResult:
-    """Adjacent values in ascending order in an involution end up in
-    descending order in its image."""
-
-    def holds(p):
-        pos = inverse(p)
-        fpos = inverse(f_involution(p))
-        return all(fpos[a - 1] > fpos[a] for a in range(1, len(p)) if pos[a - 1] < pos[a])
-
-    return _check("ascent-flip", _upto(enumeration.involutions, max_n), holds)
-
-
-def check_general_equivalence(max_n: int = 7) -> CheckResult:
-    """Both tableaux layered <=> p and its inverse dually GFK-tight, and
-    the transposed form: both tableaux transposed-layer <=> both GFK-tight."""
-
-    def holds(p):
-        p_tab, q_tab = rsk(p)
-        q = inverse(p)
-        layered_form = (is_layered_tableau(p_tab) and is_layered_tableau(q_tab)) == (
-            greene.oracle_is_dually_gfk_tight(p) and greene.oracle_is_dually_gfk_tight(q)
-        )
-        transposed_form = (
-            satisfies_transposed_layer(p_tab) and satisfies_transposed_layer(q_tab)
-        ) == (greene.oracle_is_gfk_tight(p) and greene.oracle_is_gfk_tight(q))
-        return layered_form and transposed_form
-
-    return _check("general-equivalence", _upto(all_permutations, max_n), holds)
-
-
-def check_shape_jog_multisets(max_n: int = 7) -> CheckResult:
-    """When p and its inverse are both GFK-tight, their jog lengths agree
-    as multisets and match the row lengths of the common shape."""
-
-    def lengths(intervals):
-        return sorted((iv.length for iv in intervals), reverse=True)
-
-    def tight_both_ways(p):
-        return greene.oracle_is_gfk_tight(p) and greene.oracle_is_gfk_tight(inverse(p))
-
-    return _check(
-        "shape-jog-multisets",
-        _upto(all_permutations, max_n),
-        lambda p: lengths(jogs(p)) == lengths(jogs(inverse(p))) == sorted(
-            shape(rsk(p)[0]), reverse=True
-        ),
-        where=tight_both_ways,
-    )
-
-
-def check_direct_gfk(max_n: int = 8) -> CheckResult:
-    """The jog-reversal construction agrees with the insertion-based map on
-    every GFK-tight involution."""
-    return _check(
-        "direct-gfk",
-        _upto(enumeration.involutions, max_n),
-        lambda p: direct.f_gfk_tight_direct(p) == f_involution(p),
-        where=greene.oracle_is_gfk_tight,
-    )
-
-
-def check_direct_123(max_n: int = 10) -> CheckResult:
-    """The record-breaker construction agrees with the insertion-based map
-    on every 123-avoiding involution."""
-    return _check(
-        "direct-123",
-        _upto(enumeration.involutions, max_n),
-        lambda p: direct.f_123_avoiding_direct(p) == f_involution(p),
-        where=lambda p: not contains_pattern(p, (1, 2, 3)),
-    )
-
-
-def check_two_row_roundtrip(max_n: int = 10) -> CheckResult:
-    """Direct two-row tableau of a 321-avoiding involution equals the
-    insertion tableau, and peeling recovers the involution."""
-    return _check(
-        "two-row-roundtrip",
-        _upto(enumeration.involutions, max_n),
-        lambda p: (t := direct.tableau_of_321_avoiding(p)) == tableau_of_involution(p)
-        and direct.recover_321_avoiding(t) == p,
-        where=lambda p: not contains_pattern(p, (3, 2, 1)),
-    )
-
-
-def check_shortcut(max_n: int = 8) -> CheckResult:
-    """Reversal equals the tableau-transpose map whenever both p and its
-    reverse are involutions."""
-    return _check(
-        "shortcut",
-        _upto(enumeration.involutions, max_n),
-        lambda p: direct.f_rev_shortcut(p) == f_involution(p),
-        where=lambda p: is_involution(reverse(p)),
-    )
-
-
-# ----------------------------------------------------------- counting suite
-
-
-#: largest n for which the n!-scan count is allowed
-BRUTE_COUNT_CAP = 8
+# ---------------------------------------------------- counting references
 
 
 def count_A_by_partitions(n: int) -> int:
@@ -379,188 +297,178 @@ def brute_count_general(n: int) -> int:
     """
     if n > BRUTE_COUNT_CAP:
         raise InstanceTooLarge(f"factorial scan capped at n <= {BRUTE_COUNT_CAP}, got {n}")
-    tight = greene.oracle_is_dually_gfk_tight
-    return sum(1 for p in all_permutations(n) if tight(p) and tight(inverse(p)))
+    return sum(1 for p in all_permutations(n) if _dually_tight_both_ways(p))
 
 
-def check_formula_vs_scan(max_n: int = 7) -> CheckResult:
-    """count_A, the partition sum and the factorial-scan count of
-    permutations that are dually GFK-tight together with their inverse
-    agree."""
-    return _check(
-        "formula-vs-scan",
-        range(1, min(max_n, BRUTE_COUNT_CAP) + 1),
-        lambda n: enumeration.count_A(n) == count_A_by_partitions(n) == brute_count_general(n),
-    )
+# ------------------------------------------------------------------ suites
 
 
-def check_pairs_distinct(max_n: int = 7) -> CheckResult:
-    """Tableau-pair generation yields count_A(n) pairwise distinct
-    permutations, each dually GFK-tight along with its inverse."""
-
-    def tight_both_ways(p):
-        tight = greene.oracle_is_dually_gfk_tight
-        return tight(p) and tight(inverse(p))
-
-    return _check(
-        "pairs-distinct",
-        range(1, max_n + 1),
-        lambda n: _distinct_family(
-            enumeration.generalized_layered(n),
-            enumeration.count_A(n),
-            tight_both_ways,
-        ),
-    )
-
-
-def check_composition_total(max_n: int = 12) -> CheckResult:
-    """Compositions counted partition by partition total 2^(n-1)."""
-    return _check(
-        "composition-total",
-        range(1, max_n + 1),
-        lambda n: sum(enumeration.comp_count(h) for h in enumeration.partitions(n)) == 2 ** (n - 1),
-    )
-
-
-def check_exponential_bounds(max_n: int = 12) -> CheckResult:
-    """p(n) * A_n >= 4^(n-1) and A_n <= 4^(n-1), in exact integers."""
-    return _check("exponential-bounds", range(1, max_n + 1), enumeration.verify_bounds)
-
-
-def check_partition_recurrence(max_n: int = 12) -> CheckResult:
-    """The pentagonal recurrence agrees with the partition generator."""
-    return _check(
-        "partition-recurrence",
-        range(max_n + 1),
-        lambda n: _distinct_family(enumeration.partitions(n), enumeration.partition_count(n)),
-    )
-
-
-def check_family_counts(max_n: int = 10) -> CheckResult:
-    """Family generators emit the advertised numbers of distinct, valid
-    members."""
-    families: dict[str, Callable[[int], bool]] = {
-        "layered permutations": lambda n: _distinct_family(
-            enumeration.layered_permutations(n), 2 ** (n - 1), is_layered
-        ),
-        "layered tableaux": lambda n: _distinct_family(
-            enumeration.layered_tableaux(n),
-            2 ** (n - 1),
-            lambda t: tableaux.validate(t) and is_layered_tableau(t),
-        ),
-        "involutions": lambda n: _distinct_family(
-            enumeration.involutions(n), enumeration.count_involutions(n), is_involution
-        ),
-        "standard tableaux": lambda n: sum(1 for _ in enumeration.standard_tableaux(n))
-        == enumeration.count_involutions(n),
-    }
-    return _check(
-        "family-counts",
-        ((family, n) for n in range(1, max_n + 1) for family in families),
-        lambda instance: families[instance[0]](instance[1]),
-    )
-
-
-SUITES: dict[str, list[Callable[..., CheckResult]]] = {
+SUITES: dict[str, list[Check]] = {
     "rsk": [
-        check_roundtrip,
-        check_schuetzenberger,
-        check_reversal_transpose,
-        check_descent_transport,
-        check_f_twice,
+        # inverse_rsk(rsk(p)) == p for every permutation
+        Check("roundtrip", PERMUTATIONS, 7, lambda p: inverse_rsk(rsk(p)) == p),
+        # rsk(inverse(p)) swaps the insertion and recording tableaux
+        Check("schuetzenberger", PERMUTATIONS, 7, lambda p: rsk(inverse(p)) == rsk(p)[::-1]),
+        # the insertion tableau of the reversed word is the transpose
+        Check(
+            "reversal-transpose",
+            PERMUTATIONS,
+            7,
+            lambda p: rsk(reverse(p))[0] == transpose(rsk(p)[0]),
+        ),
+        # position descents of p are the entry descents of its recording tableau
+        Check(
+            "descent-transport",
+            PERMUTATIONS,
+            7,
+            lambda p: descent_set(p) == tableau_descents(rsk(p)[1]),
+        ),
+        # applying the tableau-transpose map twice is the identity
+        Check("f-twice", INVOLUTIONS, 8, lambda p: f_involution(f_involution(p)) == p),
     ],
     "greene": [
-        check_shape_prefix_sums,
-        check_profile_monotone,
-        check_jog_lower_bound,
-        check_record_breaker_column,
+        # shape row (column) prefix sums are the oracle's k-increasing (k-decreasing) lengths
+        Check("shape-prefix-sums", PERMUTATIONS, 7, _shape_prefix_sums),
+        # profiles grow weakly, never pass n, and reach n at k = LDS
+        Check("profile-monotone", PERMUTATIONS, 7, _profile_monotone),
+        # the k longest jogs, a k-increasing subsequence, bound the oracle value from below
+        Check("jog-lower-bound", PERMUTATIONS, 8, _jog_lower_bound),
+        # record-breakers are the first-column entries of the recording tableau
+        Check(
+            "record-breaker-column",
+            PERMUTATIONS,
+            7,
+            lambda p: record_breakers(p) == set(first_column(rsk(p)[1])),
+        ),
     ],
     "characterization": [
-        check_layered_tableau_sets,
-        check_tight_vs_transposed_layer,
-        check_layered_vs_dually_tight,
-        check_layer_jog_transport,
-        check_ascent_flip,
-        check_general_equivalence,
-        check_shape_jog_multisets,
-        check_direct_gfk,
-        check_direct_123,
-        check_two_row_roundtrip,
-        check_shortcut,
+        # layered permutations' tableaux, filtered tableaux, the walker: the same 2^(n-1)
+        Check(
+            "layered-tableau-sets",
+            _sizes(lambda n: enumeration.count_involutions(n) + 2 * enumeration.count_layered(n)),
+            8,
+            _layered_tableau_sets,
+        ),
+        # an involution's tableau is transposed-layer exactly when it is GFK-tight
+        Check(
+            "tight-vs-transposed-layer",
+            INVOLUTIONS,
+            8,
+            lambda p: satisfies_transposed_layer(tableau_of_involution(p))
+            == greene.oracle_is_gfk_tight(p)
+            == is_gfk_tight(p),
+        ),
+        # layered exactly when a dually GFK-tight involution
+        Check(
+            "layered-vs-dually-tight",
+            PERMUTATIONS,
+            8,
+            lambda p: is_layered(p) == (is_involution(p) and greene.oracle_is_dually_gfk_tight(p)),
+        ),
+        # the layers of w reappear as the jogs of f(w)
+        Check(
+            "layer-jog-transport",
+            LAYERED,
+            8,
+            lambda w: set(layers(w)) == set(jogs(f_involution(w))),
+        ),
+        # adjacent values in ascending order end up in descending order under f
+        Check("ascent-flip", INVOLUTIONS, 8, _ascent_flip),
+        # both tableaux layered (transposed-layer) <=> p, p^-1 dually GFK-tight (GFK-tight)
+        Check("general-equivalence", PERMUTATIONS, 7, _general_equivalence),
+        # p, p^-1 GFK-tight => equal jog-length multisets, the rows of the common shape
+        Check(
+            "shape-jog-multisets",
+            PERMUTATIONS,
+            7,
+            lambda p: _lengths(jogs(p)) == _lengths(jogs(inverse(p)))
+            == sorted(shape(rsk(p)[0]), reverse=True),
+            where=_tight_both_ways,
+        ),
+        # the jog-reversal construction is f on GFK-tight involutions
+        Check(
+            "direct-gfk",
+            INVOLUTIONS,
+            8,
+            lambda p: direct.f_gfk_tight_direct(p) == f_involution(p),
+            where=greene.oracle_is_gfk_tight,
+        ),
+        # the record-breaker construction is f on 123-avoiding involutions
+        Check(
+            "direct-123",
+            INVOLUTIONS,
+            10,
+            lambda p: direct.f_123_avoiding_direct(p) == f_involution(p),
+            where=lambda p: not contains_pattern(p, (1, 2, 3)),
+        ),
+        # 321-avoiding: the direct two-row tableau is the insertion one, and peeling recovers p
+        Check(
+            "two-row-roundtrip",
+            INVOLUTIONS,
+            10,
+            lambda p: (t := direct.tableau_of_321_avoiding(p)) == tableau_of_involution(p)
+            and direct.recover_321_avoiding(t) == p,
+            where=lambda p: not contains_pattern(p, (3, 2, 1)),
+        ),
+        # reversal is f whenever p and its reverse are both involutions
+        Check(
+            "shortcut",
+            INVOLUTIONS,
+            8,
+            lambda p: direct.f_rev_shortcut(p) == f_involution(p),
+            where=lambda p: is_involution(reverse(p)),
+        ),
     ],
     "counting": [
-        check_formula_vs_scan,
-        check_pairs_distinct,
-        check_composition_total,
-        check_exponential_bounds,
-        check_partition_recurrence,
-        check_family_counts,
+        # count_A, the partition sum and the factorial scan agree, up to the scan's cap
+        Check(
+            "formula-vs-scan",
+            _sizes(factorial, last=lambda: BRUTE_COUNT_CAP),
+            7,
+            lambda n: enumeration.count_A(n) == count_A_by_partitions(n) == brute_count_general(n),
+        ),
+        # pair generation yields count_A(n) distinct p, each dually GFK-tight with p^-1
+        Check(
+            "pairs-distinct",
+            _sizes(enumeration.count_A),
+            7,
+            lambda n: _distinct_family(
+                enumeration.generalized_layered(n), enumeration.count_A(n), _dually_tight_both_ways
+            ),
+        ),
+        # compositions counted partition by partition total 2^(n-1)
+        Check(
+            "composition-total",
+            _sizes(enumeration.partition_count),
+            12,
+            lambda n: sum(enumeration.comp_count(h) for h in enumeration.partitions(n))
+            == 2 ** (n - 1),
+        ),
+        # p(n) * A_n >= 4^(n-1) >= A_n in exact integers; count_A takes < (n+1)^3 steps
+        Check("exponential-bounds", _sizes(lambda n: (n + 1) ** 3), 12, enumeration.verify_bounds),
+        # the pentagonal recurrence counts the partition generator's output
+        Check(
+            "partition-recurrence",
+            _sizes(enumeration.partition_count, first=0),
+            12,
+            lambda n: _distinct_family(enumeration.partitions(n), enumeration.partition_count(n)),
+        ),
+        # each family generator emits its advertised number of distinct, valid members
+        Check(
+            "family-counts",
+            Family(
+                lambda n: ((label, n) for label in _FAMILY_COUNTS),
+                lambda n: 2 * (enumeration.count_involutions(n) + enumeration.count_layered(n)),
+                first=1,
+            ),
+            10,
+            lambda instance: _FAMILY_COUNTS[instance[0]](instance[1]),
+        ),
     ],
 }
 
-
-#: most instances, summed over sizes, that one check may walk when
-#: ``--max-n`` overrides its default size; ``require_budget`` refuses a run
-#: past it before any check starts.  Every check of the default battery is
-#: under it (the largest walk is the 46,234 permutations with n <= 8), and
-#: so are the permutation checks at n <= 9 (409,114), but not at n <= 10
-#: (4,037,914).
-INSTANCE_BUDGET = 10**6
-
-#: check -> instances it walks at size n.  A check whose instances are
-#: sizes counts what it builds at each: the members of the families it
-#: lists, or count_A's dynamic-programme steps (fewer than (n+1)^3).  A
-#: size past a check's own cap counts 0, as does every larger size.
-WALKS: dict[Callable[..., CheckResult], Callable[[int], int]] = {
-    check_roundtrip: factorial,
-    check_schuetzenberger: factorial,
-    check_reversal_transpose: factorial,
-    check_descent_transport: factorial,
-    check_f_twice: enumeration.count_involutions,
-    check_shape_prefix_sums: factorial,
-    check_profile_monotone: factorial,
-    check_jog_lower_bound: factorial,
-    check_record_breaker_column: factorial,
-    check_layered_tableau_sets: lambda n: enumeration.count_involutions(n)
-    + 2 * enumeration.count_layered(n),
-    check_tight_vs_transposed_layer: enumeration.count_involutions,
-    check_layered_vs_dually_tight: factorial,
-    check_layer_jog_transport: enumeration.count_layered,
-    check_ascent_flip: enumeration.count_involutions,
-    check_general_equivalence: factorial,
-    check_shape_jog_multisets: factorial,
-    check_direct_gfk: enumeration.count_involutions,
-    check_direct_123: enumeration.count_involutions,
-    check_two_row_roundtrip: enumeration.count_involutions,
-    check_shortcut: enumeration.count_involutions,
-    check_formula_vs_scan: lambda n: factorial(n) if n <= BRUTE_COUNT_CAP else 0,
-    check_pairs_distinct: enumeration.count_A,
-    check_composition_total: enumeration.partition_count,
-    check_exponential_bounds: lambda n: (n + 1) ** 3,
-    check_partition_recurrence: enumeration.partition_count,
-    check_family_counts: lambda n: 2 * (
-        enumeration.count_involutions(n) + enumeration.count_layered(n)
-    ),
-}
-
-
-def walked(check: Callable[..., CheckResult], max_n: int) -> int:
-    """Instances ``check`` walks over sizes 0..max_n (an upper bound on the
-    instances it counts), summed until the total passes INSTANCE_BUDGET."""
-    total = 0
-    for n in range(max_n + 1):
-        count = WALKS[check](n)
-        if not count:
-            break
-        total += count
-        if total > INSTANCE_BUDGET:
-            break
-    return total
-
-
-def _check_name(check: Callable[..., CheckResult]) -> str:
-    """The name a check reports, read off its function name."""
-    return check.__name__.removeprefix("check_").replace("_", "-")
+#: every check by name
+CHECKS: dict[str, Check] = {check.name: check for checks in SUITES.values() for check in checks}
 
 
 def require_budget(names: Iterable[str], max_n: int) -> None:
@@ -568,17 +476,13 @@ def require_budget(names: Iterable[str], max_n: int) -> None:
     suites walks more than INSTANCE_BUDGET instances."""
     for name in names:
         for check in SUITES[name]:
-            if walked(check, max_n) > INSTANCE_BUDGET:
+            if check.walked(max_n) > INSTANCE_BUDGET:
                 raise DomainError(
-                    f"{name}/{_check_name(check)} walks more than {INSTANCE_BUDGET}"
+                    f"{name}/{check.name} walks more than {INSTANCE_BUDGET}"
                     f" instances at max-n {max_n}; lower --max-n"
                 )
 
 
 def run_suite(name: str, max_n: int | None = None) -> list[CheckResult]:
     """Run one suite; max_n overrides every check's default bound."""
-    results = []
-    for check in SUITES[name]:
-        results.append(check() if max_n is None else check(max_n))
-    return results
-
+    return [check(max_n) for check in SUITES[name]]

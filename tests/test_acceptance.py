@@ -54,7 +54,7 @@ def test_criterion_03_recovery_worked_example():
 
 
 def test_criterion_04_f_is_an_involution():
-    result = verify.check_f_twice(8)
+    result = verify.CHECKS["f-twice"](8)
     ok = (
         result.ok
         and enumeration.count_involutions(8) == 764
@@ -64,26 +64,26 @@ def test_criterion_04_f_is_an_involution():
 
 
 def test_criterion_05_layered_tableau_families():
-    result = verify.check_layered_tableau_sets(8)
+    result = verify.CHECKS["layered-tableau-sets"](8)
     _report(5, "layered tableaux = tableaux of layered permutations", result.ok,
             f"n <= 8, {result.checked} sizes")
 
 
 def test_criterion_06_transposed_layer_iff_tight():
-    result = verify.check_tight_vs_transposed_layer(8)
+    result = verify.CHECKS["tight-vs-transposed-layer"](8)
     _report(6, "transposed-layer <=> GFK-tight on involutions", result.ok,
             f"{result.checked} involutions")
 
 
 def test_criterion_07_layered_iff_dually_tight_involution():
-    result = verify.check_layered_vs_dually_tight(8)
+    result = verify.CHECKS["layered-vs-dually-tight"](8)
     ok = result.ok and result.checked == sum(factorial(n) for n in range(9))
     _report(7, "layered <=> dually GFK-tight involution", ok,
             f"{result.checked} permutations")
 
 
 def test_criterion_08_shape_prefix_sums():
-    result = verify.check_shape_prefix_sums(7)
+    result = verify.CHECKS["shape-prefix-sums"](7)
     _report(8, "shape prefix sums match subset oracle", result.ok,
             f"{result.checked} permutations, all k")
 
@@ -92,7 +92,7 @@ def test_criterion_09_descents_and_inverse_swap():
     _all_ok(
         9,
         "descent transport and inverse swap",
-        [verify.check_descent_transport(7), verify.check_schuetzenberger(7)],
+        [verify.CHECKS["descent-transport"](7), verify.CHECKS["schuetzenberger"](7)],
     )
 
 
@@ -100,15 +100,15 @@ def test_criterion_10_layer_transport_and_ascent_flip():
     _all_ok(
         10,
         "layer-to-jog transport and ascent flip",
-        [verify.check_layer_jog_transport(8), verify.check_ascent_flip(8)],
+        [verify.CHECKS["layer-jog-transport"](8), verify.CHECKS["ascent-flip"](8)],
     )
 
 
 def test_criterion_11_two_sided_characterization_and_count():
     results = [
-        verify.check_general_equivalence(7),
-        verify.check_pairs_distinct(7),
-        verify.check_formula_vs_scan(7),
+        verify.CHECKS["general-equivalence"](7),
+        verify.CHECKS["pairs-distinct"](7),
+        verify.CHECKS["formula-vs-scan"](7),
     ]
     spot_ok = enumeration.count_A(3) == 6 and enumeration.count_A(4) == 16
     ok = all(res.ok for res in results) and spot_ok
@@ -121,16 +121,16 @@ def test_criterion_12_direct_maps_agree():
         12,
         "direct constructions agree with insertion-based map",
         [
-            verify.check_direct_gfk(8),
-            verify.check_direct_123(10),
-            verify.check_two_row_roundtrip(10),
-            verify.check_shortcut(8),
+            verify.CHECKS["direct-gfk"](8),
+            verify.CHECKS["direct-123"](10),
+            verify.CHECKS["two-row-roundtrip"](10),
+            verify.CHECKS["shortcut"](8),
         ],
     )
 
 
 def test_criterion_13_exact_bounds():
-    results = [verify.check_exponential_bounds(12), verify.check_composition_total(12)]
+    results = [verify.CHECKS["exponential-bounds"](12), verify.CHECKS["composition-total"](12)]
     _all_ok(13, "exponential-order bounds and composition totals", results)
 
 

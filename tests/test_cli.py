@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -176,12 +177,14 @@ def test_oracle_cap_env(monkeypatch, capsys):
 
 
 def test_rsinv_max_n_has_no_effect(monkeypatch, capsys):
+    # 4 is below the sizes walked, so a cap that read the variable would
+    # change the output
     monkeypatch.delenv("RSINV_MAX_N", raising=False)
-    assert run(["verify", "--suite", "greene"]) == 0
+    assert run(["verify", "--suite", "greene", "--max-n", "6"]) == 0
     unset = out_of(capsys)
     for value in ("4", "abc"):
         monkeypatch.setenv("RSINV_MAX_N", value)
-        assert run(["verify", "--suite", "greene"]) == 0
+        assert run(["verify", "--suite", "greene", "--max-n", "6"]) == 0
         assert out_of(capsys) == unset, value
 
 
@@ -324,20 +327,29 @@ def test_count(capsys):
     assert out == "764\n"
 
 
-@pytest.mark.parametrize("what", ["layered", "involutions"])
-def test_count_past_the_int_to_str_limit(what, capsys):
+@pytest.mark.parametrize("what", ["A", "layered", "involutions"])
+def test_count_past_the_int_to_str_limit(what, capsys, monkeypatch):
     if not hasattr(sys, "get_int_max_str_digits"):
         pytest.skip("this interpreter prints integers of any length")
     digits = sys.get_int_max_str_digits()
     if digits == 0:
         pytest.skip("the int-to-str limit is switched off")
-    # both counts are at least 2^(n-1) > 10^digits
-    n = 4 * digits + 1
-    assert run(["count", "--what", what, "--n", str(n)]) == 2
+    message = f"count --what {what} at n={{}} has more than {digits} digits"
+    counted = []
+    monkeypatch.setitem(cli.COUNTS, what, lambda n: counted.append(n) or 10**digits)
+    # every count is at least 2^(n-1), which first reaches 10^digits here;
+    # the count is refused before it is computed
+    first = math.ceil(digits / math.log10(2)) + 1
+    assert run(["count", "--what", what, "--n", str(first)]) == 2
     out, err = out_of(capsys)
-    assert out == ""
+    assert out == "" and counted == []
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert f"{digits} digits" in err
+    assert message.format(first) in err
+    # one size below, a count too long to print is still refused once made
+    assert run(["count", "--what", what, "--n", str(first - 1)]) == 2
+    out, err = out_of(capsys)
+    assert out == "" and counted == [first - 1]
+    assert message.format(first - 1) in err
 
 
 def test_verify_suite(capsys):
@@ -375,21 +387,26 @@ def test_verify_refuses_a_run_past_the_instance_budget(capsys, monkeypatch):
 
 
 def test_instance_budget_bounds_every_check():
+    # Each member family counts exactly what it yields.
+    for family in (verify.PERMUTATIONS, verify.INVOLUTIONS, verify.LAYERED):
+        for n in range(9):
+            assert family.count(n) == sum(1 for _ in family.members(n)), (family, n)
     # Every check of the default battery fits the budget, and what a check
     # is said to walk bounds what it counts.
-    for suite, checks in verify.SUITES.items():
-        for check in checks:
-            default = inspect.signature(check).parameters["max_n"].default
-            assert verify.walked(check, default) <= verify.INSTANCE_BUDGET, check
-            result = check(5)
-            assert result.ok and result.checked <= verify.walked(check, 5), result
-            assert verify._check_name(check) == result.name
-    assert verify.walked(verify.check_jog_lower_bound, 8) == 46234
-    assert verify.walked(verify.check_direct_123, 10) == 13232
-    assert verify.walked(verify.check_roundtrip, 9) <= verify.INSTANCE_BUDGET
-    assert verify.walked(verify.check_roundtrip, 10) > verify.INSTANCE_BUDGET
-    # a check clamped to its own cap walks no more past it
-    assert verify.walked(verify.check_formula_vs_scan, 10**18) == 46234
+    for name, check in verify.CHECKS.items():
+        default = inspect.signature(check).parameters["max_n"].default
+        assert default == check.max_n and check.walked(default) <= verify.INSTANCE_BUDGET, name
+        for n in range(7):
+            result = check(n)
+            assert result.name == name and result.ok, result
+            assert result.checked <= check.walked(n), (result, n)
+    checks = verify.CHECKS
+    assert checks["jog-lower-bound"].walked(8) == 46234
+    assert checks["direct-123"].walked(10) == 13232
+    assert checks["roundtrip"].walked(9) <= verify.INSTANCE_BUDGET
+    assert checks["roundtrip"].walked(10) > verify.INSTANCE_BUDGET
+    # a check clamped to its own cap walks no more past it: sizes 1..8
+    assert checks["formula-vs-scan"].walked(10**18) == 46233
 
 
 def test_verify_rsk_small(capsys):

@@ -23,13 +23,7 @@ from rsinv.errors import InstanceTooLarge
 from rsinv.insertion import inverse_rsk, tableau_of_involution
 from rsinv.permutations import is_involution, is_layered
 from rsinv.tableaux import is_layered_tableau, shape, validate
-from rsinv.verify import (
-    brute_count_general,
-    check_family_counts,
-    check_partition_recurrence,
-    check_shape_jog_multisets,
-    count_A_by_partitions,
-)
+from rsinv.verify import CHECKS, brute_count_general, count_A_by_partitions
 
 
 def test_partitions_order_and_counts():
@@ -40,7 +34,7 @@ def test_partitions_order_and_counts():
 
 
 def test_partition_count_matches_stream():
-    result = check_partition_recurrence(12)
+    result = CHECKS["partition-recurrence"](12)
     assert result.ok, result.failures
     assert partition_count(0) == 1
     assert partition_count(1) == 1
@@ -205,7 +199,7 @@ def test_generators_past_a_tight_recursion_limit():
 
 
 def test_family_counts_check():
-    result = check_family_counts(10)
+    result = CHECKS["family-counts"](10)
     assert result.ok, result.failures
 
 
@@ -217,7 +211,7 @@ def test_count_layered():
 def test_shape_jog_multisets():
     # when p and its inverse are both GFK-tight, jog lengths of either
     # match the row lengths of the common shape as multisets
-    result = check_shape_jog_multisets(7)
+    result = CHECKS["shape-jog-multisets"](7)
     assert result.ok, result.failures
 
 

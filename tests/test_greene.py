@@ -29,12 +29,7 @@ from rsinv.permutations import (
     record_breakers,
     reverse,
 )
-from rsinv.verify import (
-    brute_count_general,
-    check_jog_lower_bound,
-    check_profile_monotone,
-    check_record_breaker_column,
-)
+from rsinv.verify import CHECKS, brute_count_general
 
 
 def test_longest_k_increasing_examples():
@@ -266,14 +261,14 @@ def test_prefix_lds_lengths_match_quadratic_reference():
 
 
 def test_profile_monotone_and_saturating():
-    assert check_profile_monotone(7).ok
+    assert CHECKS["profile-monotone"](7).ok
 
 
 def test_jog_lower_bound():
-    result = check_jog_lower_bound(8)
+    result = CHECKS["jog-lower-bound"](8)
     assert result.ok, result.failures
 
 
 def test_record_breakers_are_first_column():
-    result = check_record_breaker_column(7)
+    result = CHECKS["record-breaker-column"](7)
     assert result.ok, result.failures

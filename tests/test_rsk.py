@@ -14,7 +14,7 @@ from rsinv.errors import (
 from rsinv.permutations import all_permutations, decreasing, identity, inverse, reverse
 from rsinv.insertion import f_involution, inverse_rsk, row_insert, rsk, tableau_of_involution
 from rsinv.tableaux import shape, transpose
-from rsinv.verify import check_reversal_transpose, check_roundtrip
+from rsinv.verify import CHECKS
 
 
 @st.composite
@@ -198,7 +198,7 @@ def test_involutions_have_symmetric_tableaux():
 def test_exhaustive_rsk_suite():
     # descent transport, the inverse swap and f(f(q)) = q run in
     # tests/test_acceptance.py
-    for result in (check_roundtrip(7), check_reversal_transpose(7)):
+    for result in (CHECKS["roundtrip"](7), CHECKS["reversal-transpose"](7)):
         assert result.ok, result.failures
 
 
