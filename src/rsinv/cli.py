@@ -23,7 +23,7 @@ from .direct import (
     f_rev_shortcut,
     tableau_of_321_avoiding,
 )
-from .errors import DomainError
+from .errors import DomainError, InvalidTableau
 from .insertion import (
     f_involution,
     inverse_rsk,
@@ -40,7 +40,7 @@ from .permutations import (
     is_layered,
     parse_permutation,
 )
-from .tableaux import satisfies_transposed_layer, tableau_from_json, tableau_to_json
+from .tableaux import Tableau, satisfies_transposed_layer, tableau_from_json, tableau_to_json
 
 # One table per command-line choice: argparse's choices, the dispatch and
 # the error messages all read the names from here.
@@ -114,12 +114,18 @@ def _cmd_rsk(args) -> int:
     return 0
 
 
+def _read_tableau(path: str) -> Tableau:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidTableau(f"{path} is not UTF-8 text: {exc}") from None
+    return tableau_from_json(text)
+
+
 def _cmd_unrsk(args) -> int:
-    with open(args.p, encoding="utf-8") as fh:
-        p_tab = tableau_from_json(fh.read())
-    with open(args.q, encoding="utf-8") as fh:
-        q_tab = tableau_from_json(fh.read())
-    print(format_permutation(inverse_rsk((p_tab, q_tab))))
+    pair = (_read_tableau(args.p), _read_tableau(args.q))
+    print(format_permutation(inverse_rsk(pair)))
     return 0
 
 
@@ -193,7 +199,12 @@ def _require_size(n: int) -> int:
 
 def _cmd_enumerate(args) -> int:
     generate, show = FAMILIES[args.family]
-    for member in generate(_require_size(args.n)):
+    n = _require_size(args.n)
+    # Past sys.maxsize no sequence of n entries can be built, and a walk of
+    # range(n) would never end.
+    if n > sys.maxsize:
+        raise DomainError(f"n must be at most {sys.maxsize}, got {n}")
+    for member in generate(n):
         print(show(member))
     return 0
 
@@ -224,7 +235,7 @@ def _cmd_verify(args) -> int:
         verify.require_budget(names, _require_size(args.max_n))
     all_ok = True
     for name in names:
-        results = verify.run_suite(name, args.max_n)
+        results = [check(args.max_n) for check in verify.SUITES[name]]
         for result in results:
             status = "PASS" if result.ok else "FAIL"
             print(f"{name}/{result.name}: {status} ({result.checked} instances)")

@@ -11,8 +11,9 @@ most 2.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import AbstractSet, Sequence
 
+from .enumeration import layered_from_composition
 from .errors import (
     Not123Avoiding,
     Not321Avoiding,
@@ -33,6 +34,13 @@ from .permutations import (
     reverse,
 )
 from .tableaux import Tableau, as_tableau, check_tableau
+
+
+def _two_row(first: AbstractSet[int], n: int) -> Tableau:
+    # The entries of first on row 1, the rest of 1..n on row 2; an empty
+    # row is dropped.
+    rows = (sorted(first), sorted(set(range(1, n + 1)) - first))
+    return as_tableau([row for row in rows if row])
 
 
 def f_rev_shortcut(p: Sequence[int]) -> Perm:
@@ -61,10 +69,7 @@ def f_gfk_tight_direct(p: Sequence[int]) -> Perm:
     p = check_involution(p)
     if not is_gfk_tight(p):
         raise NotGfkTight(f"not GFK-tight: {p}")
-    out: list[int] = []
-    for block in jogs(p):
-        out.extend(range(block.hi, block.lo - 1, -1))
-    return tuple(out)
+    return layered_from_composition([block.length for block in jogs(p)])
 
 
 def tableau_of_321_avoiding(p: Sequence[int]) -> Tableau:
@@ -78,12 +83,7 @@ def tableau_of_321_avoiding(p: Sequence[int]) -> Tableau:
     fixed, small, large = classify_entries(p)  # refuses a non-involution
     if longest_decreasing(p) > 2:
         raise Not321Avoiding(f"contains 321: {tuple(p)}")
-    rows = [sorted(fixed | small)]
-    if large:
-        rows.append(sorted(large))
-    if not rows[0]:
-        rows = []
-    return as_tableau(rows)
+    return _two_row(fixed | small, len(p))
 
 
 def recover_321_avoiding(t: Sequence[Sequence[int]]) -> Perm:
@@ -129,13 +129,6 @@ def f_123_avoiding_direct(p: Sequence[int]) -> Perm:
     p = check_involution(p)
     if longest_decreasing(reverse(p)) > 2:
         raise Not123Avoiding(f"contains 123: {p}")
-    breakers = record_breakers(p)
-    rows = [sorted(breakers)]
-    rest = sorted(set(range(1, len(p) + 1)) - breakers)
-    if rest:
-        rows.append(rest)
-    if not rows[0]:
-        rows = []
     # Validity is a consequence of the record-breaker structure; if
     # recover_321_avoiding refuses these rows, there is a bug upstream.
-    return recover_321_avoiding(rows)
+    return recover_321_avoiding(_two_row(record_breakers(p), len(p)))

@@ -44,8 +44,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import InstanceTooLarge, InvalidPermutation
-from .permutations import Interval, jogs, reverse
+from .errors import InstanceTooLarge
+from .permutations import Interval, check_permutation, inverse, jogs, reverse
 
 #: largest n the subset oracle will accept
 ORACLE_CAP = 16
@@ -103,22 +103,14 @@ def _subset_profile(values: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(best)
 
 
-def _canonical(p: tuple[int, ...]) -> tuple[int, ...]:
+def _canonical(p: Sequence[int]) -> tuple[int, ...]:
     # The least of p, p^-1, p^rc and (p^rc)^-1; (p^rc)^-1 = (p^-1)^rc.
-    n = len(p)
-    inv = [0] * n
-    try:
-        for i, v in enumerate(p, 1):
-            inv[v - 1] = i
-        valid = 0 not in inv and (not p or min(p) > 0)
-    except (IndexError, TypeError):
-        valid = False
-    if not valid:
-        raise InvalidPermutation(f"not a permutation of 1..{n}: {p}")
-    m = n + 1
+    p = check_permutation(p)
+    inv = inverse(p)
+    m = len(p) + 1
     return min(
         p,
-        tuple(inv),
+        inv,
         tuple([m - v for v in reversed(p)]),
         tuple([m - v for v in reversed(inv)]),
     )
@@ -135,7 +127,7 @@ def k_increasing_profile(p: Sequence[int]) -> tuple[int, ...]:
     InvalidPermutation unless p is a permutation of 1..n."""
     if len(p) > ORACLE_CAP:
         raise InstanceTooLarge(f"subset oracle capped at n <= {ORACLE_CAP}, got {len(p)}")
-    return _cached_profile(_canonical(tuple(p)))
+    return _cached_profile(_canonical(p))
 
 
 def k_decreasing_profile(p: Sequence[int]) -> tuple[int, ...]:

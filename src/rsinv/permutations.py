@@ -10,6 +10,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from itertools import permutations as _permutations
 from math import comb, inf
+from operator import index
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -60,12 +61,17 @@ class EntryClassification(NamedTuple):
 
 def is_permutation(values: Sequence[int]) -> bool:
     """
-    Check that ``values`` is a rearrangement of 1..n where n = len(values).
+    Check that ``values`` is a rearrangement of the integers 1..n where
+    n = len(values).  A word with an entry that is not an integer, such as
+    None or 2.0, is not one.
 
-    >>> [is_permutation(w) for w in [(), (1,), (2, 1), (1, 1), (0, 1)]]
-    [True, True, True, False, False]
+    >>> [is_permutation(w) for w in [(), (1,), (2, 1), (1, 1), (0, 1), (None, 1)]]
+    [True, True, True, False, False, False]
     """
-    return sorted(values) == list(range(1, len(values) + 1))
+    try:
+        return sorted(map(index, values)) == list(range(1, len(values) + 1))
+    except TypeError:
+        return False
 
 
 def check_permutation(values: Sequence[int]) -> Perm:
@@ -106,7 +112,7 @@ def parse_permutation(text: str) -> Perm:
             values = [int(tok) for tok in stripped.split()]
         except ValueError as exc:
             raise InvalidPermutation(f"bad permutation token in {text!r}") from exc
-    elif stripped.isdigit():
+    elif stripped.isdecimal():
         if len(stripped) > 9:
             raise InvalidPermutation(
                 f"compact digit form only supports n <= 9, got {len(stripped)} digits;"

@@ -144,7 +144,8 @@ def tableau_from_json(text: str) -> Tableau:
         raise InvalidTableau('tableau JSON must be an object with single key "rows"')
     rows = data["rows"]
     if not isinstance(rows, list) or not all(
-        isinstance(row, list) and all(isinstance(v, int) for v in row) for row in rows
+        # JSON true and false load as bool, a subclass of int
+        isinstance(row, list) and all(type(v) is int for v in row) for row in rows
     ):
         raise InvalidTableau('"rows" must be a list of lists of integers')
     return check_tableau(rows)

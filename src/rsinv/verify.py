@@ -481,8 +481,3 @@ def require_budget(names: Iterable[str], max_n: int) -> None:
                     f"{name}/{check.name} walks more than {INSTANCE_BUDGET}"
                     f" instances at max-n {max_n}; lower --max-n"
                 )
-
-
-def run_suite(name: str, max_n: int | None = None) -> list[CheckResult]:
-    """Run one suite; max_n overrides every check's default bound."""
-    return [check(max_n) for check in SUITES[name]]

@@ -50,6 +50,28 @@ def test_unrsk_missing_file(tmp_path, capsys):
     assert run(["unrsk", "--p", str(tmp_path / "nope.json"), "--q", str(tmp_path / "nope.json")]) == 2
 
 
+def refused(capsys, argv):
+    """Run argv and return its one error line; nothing may reach stdout."""
+    assert run(argv) == 2, argv
+    out, err = out_of(capsys)
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (out, err)
+    return err
+
+
+def test_unrsk_refuses_boolean_entries(tmp_path, capsys):
+    # JSON true loads as bool, which is an int to isinstance
+    path = tmp_path / "t.json"
+    path.write_text('{"rows":[[true,2]]}')
+    refused(capsys, ["unrsk", "--p", str(path), "--q", str(path)])
+
+
+def test_unrsk_refuses_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_bytes(b"\xff")
+    err = refused(capsys, ["unrsk", "--p", str(path), "--q", str(path)])
+    assert "UTF-8" in err
+
+
 def test_unrsk_shape_mismatch(tmp_path, capsys):
     p_file = tmp_path / "p.json"
     q_file = tmp_path / "q.json"
@@ -289,6 +311,12 @@ def test_check_transposed_layer_needs_involution(capsys):
     assert run(["check", "231", "--prop", "transposed-layer"]) == 2
 
 
+def test_non_ascii_digits_are_refused(capsys):
+    # "²".isdigit() is true, but int("²") raises
+    refused(capsys, ["f", "²"])
+    refused(capsys, ["check", "1 2", "--prop", "avoids:²"])
+
+
 def test_check_unknown_prop(capsys):
     assert run(["check", "123", "--prop", "mystery"]) == 2
 
@@ -313,6 +341,20 @@ def test_enumerate_generalized(capsys):
 
 def test_enumerate_negative_n(capsys):
     assert run(["enumerate", "--family", "layered", "--n", "-1"]) == 2
+
+
+@pytest.mark.parametrize("family", sorted(cli.FAMILIES))
+def test_enumerate_past_sys_maxsize(family, capsys, monkeypatch):
+    called = []
+    generate, show = cli.FAMILIES[family]
+    monkeypatch.setitem(cli.FAMILIES, family, (lambda n: called.append(n) or (), show))
+    assert run(["enumerate", "--family", family, "--n", str(sys.maxsize)]) == 0
+    assert called == [sys.maxsize]
+    # one past it, the size is refused before the family is generated
+    err = refused(capsys, ["enumerate", "--family", family, "--n", str(sys.maxsize + 1)])
+    assert called == [sys.maxsize] and str(sys.maxsize) in err
+    monkeypatch.setitem(cli.FAMILIES, family, (generate, show))
+    refused(capsys, ["enumerate", "--family", family, "--n", str(10**20)])
 
 
 def test_count(capsys):

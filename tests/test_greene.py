@@ -199,7 +199,7 @@ def test_no_environment_reads_and_no_oracle_in_enumeration():
 
 
 def test_oracle_refuses_a_non_permutation():
-    for word in ((0, 1), (-1, 1), (1, 1), (3, 1), (5, 3, 9)):
+    for word in ((0, 1), (-1, 1), (1, 1), (3, 1), (5, 3, 9), (None, 1), ("a", 1), (2.0, 1.0)):
         with pytest.raises(InvalidPermutation):
             k_increasing_profile(word)
 

@@ -308,7 +308,7 @@ def test_parse_permutation(text, expected):
     assert parse_permutation(text) == expected
 
 
-@pytest.mark.parametrize("text", ["1234567891", "2 2 1", "abc", "0 1", "12x"])
+@pytest.mark.parametrize("text", ["1234567891", "2 2 1", "abc", "0 1", "12x", "²", "1²"])
 def test_parse_permutation_rejects(text):
     with pytest.raises(InvalidPermutation):
         parse_permutation(text)
@@ -322,4 +322,8 @@ def test_format_parse_roundtrip(p):
 def test_is_permutation_and_positions():
     assert is_permutation((3, 1, 2))
     assert not is_permutation((3, 1, 1))
+    # words that cannot be sorted, or that hold non-integers equal to 1..n
+    assert is_permutation((None, 1)) is False
+    assert is_permutation(("a", 1)) is False
+    assert is_permutation((2.0, 1.0)) is False
     assert inverse((3, 1, 2)) == (2, 3, 1)

@@ -166,6 +166,7 @@ def test_json_roundtrip():
         '{"rows": "x"}',
         '{"rows": [[1]], "extra": 1}',
         '{"rows": [[1.5]]}',
+        '{"rows": [[true, 2]]}',
     ],
 )
 def test_json_rejects(text):
