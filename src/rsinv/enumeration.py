@@ -4,14 +4,15 @@ permutations whose insertion and recording tableaux are both layered.
 
 All streams are lazy with documented deterministic orders, and yield
 nothing for a negative size; all counts use exact integer arithmetic in
-polynomial time.  The slow references they are checked against, the
-partition sum and the factorial scan with the subset oracle, are in
-``rsinv.verify``, so nothing here imports the oracle.
+polynomial time.  Standard and layered tableaux share one walk, with a
+placement rule each.  The slow references the counts are checked
+against, the partition sum and the factorial scan with the subset oracle,
+are in ``rsinv.verify``, so nothing here imports the oracle.
 """
 from __future__ import annotations
 
 from math import comb, factorial
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .insertion import inverse_rsk_unchecked
 from .permutations import Perm
@@ -208,15 +209,9 @@ def involutions(n: int) -> Iterator[Perm]:
             return
 
 
-def layered_tableaux(n: int) -> Iterator[Tableau]:
-    """
-    All 2^(n-1) standard tableaux in which each entry i+1 sits directly
-    below i or in the top row, grown entry by entry; at each step the
-    top-row placement is emitted before the below placement.
-
-    >>> list(layered_tableaux(2))
-    [((1, 2),), ((1,), (2,))]
-    """
+def _grow_tableaux(n: int, later: Callable[..., int | None]) -> Iterator[Tableau]:
+    # Every tableau on 1..n the rule reaches from the one-row tableau: e, just
+    # taken off row r, may go to row later(rows, row_of, e, r) > r, or nowhere.
     if n == 0:
         yield ()
     if n <= 0:
@@ -225,42 +220,8 @@ def layered_tableaux(n: int) -> Iterator[Tableau]:
     row_of = [0] * (n + 1)  # 0-based row of each entry
     while True:
         yield as_tableau(rows)
-        # The last entry on the top row moves below its predecessor, and
-        # every later entry goes back to the top row.
-        e = n
-        while e > 1 and row_of[e]:
-            e -= 1
-        if e == 1:
-            return
-        for k in range(n, e - 1, -1):
-            rows[row_of[k]].pop()
-            if not rows[-1]:
-                rows.pop()
-        below = row_of[e - 1] + 1
-        if below == len(rows):
-            rows.append([])
-        rows[below].append(e)
-        row_of[e] = below
-        rows[0].extend(range(e + 1, n + 1))
-        for k in range(e + 1, n + 1):
-            row_of[k] = 0
-
-
-def standard_tableaux(n: int) -> Iterator[Tableau]:
-    """
-    All standard Young tableaux on n boxes, grown by appending each next
-    entry to every legal row end, top row first, then to a new row.
-    """
-    if n == 0:
-        yield ()
-    if n <= 0:
-        return
-    rows = [list(range(1, n + 1))]
-    row_of = [0] * (n + 1)  # 0-based row of each entry
-    while True:
-        yield as_tableau(rows)
-        # Take entries off, largest first, until one has a later legal
-        # row; put it there and every larger entry back on the top row.
+        # Take entries off, largest first, until one has a later row; put
+        # it there and every larger entry back on the top row.
         e = n
         while True:
             if e == 1:
@@ -269,10 +230,8 @@ def standard_tableaux(n: int) -> Iterator[Tableau]:
             rows[r].pop()
             if not rows[r]:
                 rows.pop()
-            r += 1
-            while r < len(rows) and len(rows[r]) == len(rows[r - 1]):
-                r += 1
-            if r <= len(rows):
+            r = later(rows, row_of, e, r)
+            if r is not None:
                 break
             e -= 1
         if r == len(rows):
@@ -282,6 +241,34 @@ def standard_tableaux(n: int) -> Iterator[Tableau]:
         rows[0].extend(range(e + 1, n + 1))
         for k in range(e + 1, n + 1):
             row_of[k] = 0
+
+
+def layered_tableaux(n: int) -> Iterator[Tableau]:
+    """
+    All 2^(n-1) standard tableaux in which each entry i+1 sits directly
+    below i or in the top row: the standard walk, but e moves only from the
+    top row to the row below e - 1, top-row placement first.
+
+    >>> list(layered_tableaux(2))
+    [((1, 2),), ((1,), (2,))]
+    """
+    return _grow_tableaux(n, lambda rows, row_of, e, r: None if r else row_of[e - 1] + 1)
+
+
+def standard_tableaux(n: int) -> Iterator[Tableau]:
+    """
+    All standard Young tableaux on n boxes, grown by appending each next
+    entry to every legal row end, top row first, then to a new row.
+    """
+
+    def later(rows, row_of, e, r):
+        # The next row below r shorter than the row above it, or a new row.
+        r += 1
+        while r < len(rows) and len(rows[r]) == len(rows[r - 1]):
+            r += 1
+        return r if r <= len(rows) else None
+
+    return _grow_tableaux(n, later)
 
 
 def layered_tableau(parts: Sequence[int]) -> Tableau:

@@ -45,7 +45,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import InstanceTooLarge
-from .permutations import Interval, check_permutation, inverse, jogs, reverse
+from .permutations import Interval, inverse, jogs, reverse
 
 #: largest n the subset oracle will accept
 ORACLE_CAP = 16
@@ -105,8 +105,8 @@ def _subset_profile(values: tuple[int, ...]) -> tuple[int, ...]:
 
 def _canonical(p: Sequence[int]) -> tuple[int, ...]:
     # The least of p, p^-1, p^rc and (p^rc)^-1; (p^rc)^-1 = (p^-1)^rc.
-    p = check_permutation(p)
-    inv = inverse(p)
+    p = tuple(p)
+    inv = inverse(p)  # refuses a word that is not a permutation
     m = len(p) + 1
     return min(
         p,

@@ -2,8 +2,12 @@
 
 A permutation of length n is a tuple of the values 1..n, each exactly once;
 ``p[i]`` is the value in position i+1 (positions and values are 1-based
-throughout, the empty tuple is the length-0 permutation).  Functions accept
-any integer sequence and return plain tuples.
+throughout, the empty tuple is the length-0 permutation).  Results are
+plain tuples.  On a word that is not a permutation, such as (1, 1), (0, 1)
+or (None, 1), the predicates answer False, ``inverse``, ``jogs`` and
+``reverse_jogs`` raise InvalidPermutation, and ``layers`` NotLayered.
+``reverse``, ``descent_set``, ``prefix_lds_lengths``, ``longest_decreasing``
+and ``record_breakers`` take any integer word.
 """
 from __future__ import annotations
 
@@ -132,13 +136,21 @@ def format_permutation(p: Sequence[int]) -> str:
 def inverse(p: Sequence[int]) -> Perm:
     """
     The inverse permutation q, with q[p[i]] = i for all positions i.
+    Raises InvalidPermutation when p is not a permutation.
 
     >>> inverse((1, 4, 2, 3))
     (1, 3, 4, 2)
     """
-    q = [0] * len(p)
-    for i, v in enumerate(p):
-        q[v - 1] = i + 1
+    n = len(p)
+    q = [0] * n
+    try:
+        for i, v in enumerate(p, 1):
+            q[v - 1] = i
+    except (IndexError, TypeError):
+        pass  # a fill cut short leaves a 0 in q
+    # A value v below 1 fills slot v - 1 + n, so with no 0 in q it cuts the sum by n.
+    if 0 in q or sum(p) != n * (n + 1) // 2:
+        raise InvalidPermutation(f"not a permutation of 1..{n}: {tuple(p)}")
     return tuple(q)
 
 
@@ -152,14 +164,14 @@ def is_involution(p: Sequence[int]) -> bool:
     True iff p composed with itself is the identity; False for a word that
     is not a permutation.
 
-    >>> [is_involution(w) for w in [(2, 1, 3), (2, 3, 1), (2,), (3, 1)]]
-    [True, False, False, False]
+    >>> [is_involution(w) for w in [(2, 1, 3), (2, 3, 1), (2,), (3, 1), (None, 1)]]
+    [True, False, False, False, False]
     """
-    # A value past n indexes out of the word.  A value below 1 indexes from
-    # its end, but then some m in 1..n is missing from p, so p_(p_m) = m fails.
+    # A value past n, or not an integer, cannot index p.  One below 1 indexes
+    # from the end, but then some m in 1..n is missing, so p_(p_m) = m fails.
     try:
         return all(p[v - 1] == i + 1 for i, v in enumerate(p))
-    except IndexError:
+    except (IndexError, TypeError):
         return False
 
 
@@ -249,20 +261,20 @@ def layers(p: Sequence[int]) -> list[Interval]:
     >>> layers((2, 1, 5, 4, 3, 7, 6))
     [Interval(lo=1, hi=2), Interval(lo=3, hi=5), Interval(lo=6, hi=7)]
     """
+    # The layers before position base hold 1..base, so the next runs from
+    # p[base] down to base + 1; is_permutation then refuses entries like 1.0.
     result = []
     base = 0
-    i = 0
-    n = len(p)
-    while i < n:
-        top = p[i]
-        if top <= base:
-            raise NotLayered(f"not layered: {tuple(p)}")
-        width = top - base
-        if list(p[i : i + width]) != list(range(top, base, -1)):
-            raise NotLayered(f"not layered: {tuple(p)}")
+    while base < len(p):
+        top = p[base]
+        if not (isinstance(top, int) and base < top <= len(p)):
+            break
+        if list(p[base:top]) != list(range(top, base, -1)):
+            break
         result.append(Interval(base + 1, top))
         base = top
-        i += width
+    if base < len(p) or not is_permutation(p):
+        raise NotLayered(f"not layered: {tuple(p)}")
     return result
 
 

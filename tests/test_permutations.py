@@ -83,6 +83,9 @@ def test_reverse(p, expected):
         ((), True),
         ((2,), False),
         ((3, 1), False),
+        ((None, 1), False),
+        ((0, 1), False),
+        ((1, 1), False),
     ],
 )
 def test_is_involution(p, expected):
@@ -147,6 +150,18 @@ def test_layers_examples():
 def test_layers_rejects_unlayered():
     with pytest.raises(NotLayered):
         layers((2, 3, 1))
+    with pytest.raises(NotLayered):
+        layers((None, 1))
+    # A first value far past n is refused before a layer that long is built.
+    with pytest.raises(NotLayered):
+        layers((10**12,))
+
+
+@pytest.mark.parametrize("word", [(3, 1), (1, 1), (0, 1), (2, 0), (None, 1)])
+@pytest.mark.parametrize("decompose", [inverse, jogs, reverse_jogs])
+def test_non_permutation_refused(decompose, word):
+    with pytest.raises(InvalidPermutation):
+        decompose(word)
 
 
 @given(perms(max_n=8))

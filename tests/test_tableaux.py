@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from rsinv.enumeration import standard_tableaux
+from rsinv.enumeration import layered_tableaux, standard_tableaux
 from rsinv.errors import InvalidTableau
 from rsinv.insertion import rsk
 from rsinv.tableaux import (
@@ -134,8 +134,9 @@ def test_transposed_layer_is_layered_of_transpose():
 
 def test_layered_tableau_filter_count():
     for n in range(1, 11):
-        count = sum(is_layered_tableau(t) for t in standard_tableaux(n))
-        assert count == 2 ** (n - 1)
+        layered = [t for t in standard_tableaux(n) if is_layered_tableau(t)]
+        assert len(layered) == 2 ** (n - 1)
+        assert list(layered_tableaux(n)) == layered
 
 
 def test_shape_and_conjugate():
