@@ -8,10 +8,13 @@ on stderr, when the reader of stdout goes away early, as in
 ``rsinv enumerate ... | head -1``.
 Permutations always print in the whitespace format so outputs stay
 unambiguous for n >= 10; tableaux print in the single-line JSON format.
+``run`` parses with one parser, built on its first call and kept for the
+life of the process; ``build_parser`` returns a fresh one.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Callable, Sequence
@@ -304,10 +307,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Building the eight subcommands costs about a millisecond, more than most
+# queries.  Only argparse's choices are fixed when the parser is built; the
+# commands read the tables above at call time.
+_parser = functools.cache(build_parser)
+
+
 def run(argv: Sequence[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _parser().parse_args(list(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import json
 import math
@@ -473,3 +474,63 @@ def test_output_determinism(capsys):
     run(["enumerate", "--family", "involutions", "--n", "4"])
     second, _ = out_of(capsys)
     assert first == second
+
+
+def outcomes(capsys, argvs):
+    """(exit code, stdout, stderr) of each argv, run in turn."""
+    results = []
+    for argv in argvs:
+        code = run(argv)
+        results.append((code, *out_of(capsys)))
+    return results
+
+
+def test_one_parser_per_process(capsys, monkeypatch):
+    queries = [
+        ["rsk", "2 1 3", "--json"],
+        ["f", "6574213", "--method", "all"],
+        ["tableau", "1325467", "--method", "direct"],
+        ["check", "2 1 3", "--prop", "gfk-tight"],
+        ["check", "1 2 3", "--prop", "avoids:12"],
+        ["enumerate", "--family", "layered", "--n", "3"],
+        ["count", "--what", "A", "--n", "12"],
+        ["verify", "--suite", "counting", "--max-n", "3"],
+        ["f", "2 1", "--method", "nope"],
+        ["--help"],
+    ]
+    before = outcomes(capsys, queries)
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    assert outcomes(capsys, queries) == before
+    assert built == []
+    assert [code for code, _, _ in before] == [0, 0, 0, 0, 1, 0, 0, 0, 2, 0]
+
+
+def test_a_reused_parser_leaks_no_state(capsys, monkeypatch):
+    # help, an argparse error, and optional flags given then left out
+    sequence = [
+        ["--help"],
+        ["f", "2 1", "--method", "nope"],
+        ["rsk", "2 1", "--json"],
+        ["rsk", "2 1"],
+        ["tableau", "2 1", "--json"],
+        ["tableau", "2 1"],
+        ["count", "--what", "A"],
+        ["f", "2 1", "--method", "direct"],
+        ["f", "2 1"],
+        ["rsk", "--help"],
+    ]
+    for argvs in (sequence, sequence[::-1]):
+        reused = outcomes(capsys, argvs)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parser", cli.build_parser, raising=False)
+            fresh = outcomes(capsys, argvs)
+        assert reused == fresh
+    codes = [code for code, _, _ in reused[::-1]]
+    assert codes == [0, 2, 0, 0, 0, 0, 2, 0, 0, 0]
