@@ -41,6 +41,7 @@ both sides.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from typing import Sequence
 
@@ -67,10 +68,16 @@ def _subset_profile(values: tuple[int, ...]) -> tuple[int, ...]:
     # still to come above it (n+1 if none).  Each key keeps its largest
     # chosen count.
     n = len(values)
+    # ups[i]: the least value after position i above values[i], n+1 if
+    # none, found right to left in the sorted values seen so far.
+    ups = [0] * n
+    later = [n + 1]
+    for i in range(n - 1, -1, -1):
+        j = bisect_left(later, values[i])
+        ups[i] = later[j]
+        later.insert(j, values[i])
     states: dict[tuple[int, ...], int] = {(): 0}
-    for i, x in enumerate(values):
-        # u: the least value still to come above x, n+1 if none
-        u = min([v for v in values[i + 1 :] if v > x], default=n + 1)
+    for x, u in zip(values, ups):
         grown: dict[tuple[int, ...], int] = {}
         for tops, size in states.items():
             e = 0  # x ends a chain of length e+1

@@ -241,16 +241,30 @@ def reverse_jogs(p: Sequence[int]) -> list[Interval]:
     return jogs(reverse(p))
 
 
+def _layer_tops(p: Sequence[int]) -> list[int] | None:
+    # The largest value of each layer, left to right, or None when p is not
+    # layered.  The layers before position base hold 1..base, so the next
+    # runs from p[base] down to base + 1; is_permutation then refuses
+    # entries like 1.0.
+    tops = []
+    base = 0
+    while base < len(p):
+        top = p[base]
+        if not (isinstance(top, int) and base < top <= len(p)):
+            return None
+        if list(p[base:top]) != list(range(top, base, -1)):
+            return None
+        tops.append(top)
+        base = top
+    return tops if is_permutation(p) else None
+
+
 def is_layered(p: Sequence[int]) -> bool:
     """
     True iff p is a concatenation of decreasing blocks, each block's values
     all smaller than the next block's.  The empty permutation is layered.
     """
-    try:
-        layers(p)
-    except NotLayered:
-        return False
-    return True
+    return _layer_tops(p) is not None
 
 
 def layers(p: Sequence[int]) -> list[Interval]:
@@ -261,21 +275,10 @@ def layers(p: Sequence[int]) -> list[Interval]:
     >>> layers((2, 1, 5, 4, 3, 7, 6))
     [Interval(lo=1, hi=2), Interval(lo=3, hi=5), Interval(lo=6, hi=7)]
     """
-    # The layers before position base hold 1..base, so the next runs from
-    # p[base] down to base + 1; is_permutation then refuses entries like 1.0.
-    result = []
-    base = 0
-    while base < len(p):
-        top = p[base]
-        if not (isinstance(top, int) and base < top <= len(p)):
-            break
-        if list(p[base:top]) != list(range(top, base, -1)):
-            break
-        result.append(Interval(base + 1, top))
-        base = top
-    if base < len(p) or not is_permutation(p):
+    tops = _layer_tops(p)
+    if tops is None:
         raise NotLayered(f"not layered: {tuple(p)}")
-    return result
+    return [Interval(lo + 1, top) for lo, top in zip([0] + tops, tops)]
 
 
 def prefix_lds_lengths(p: Sequence[int]) -> list[int]:

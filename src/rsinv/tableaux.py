@@ -19,7 +19,7 @@ Shape = tuple[int, ...]
 
 
 def as_tableau(rows: Sequence[Sequence[int]]) -> Tableau:
-    return tuple(tuple(row) for row in rows)
+    return tuple(map(tuple, rows))
 
 
 def shape(t: Sequence[Sequence[int]]) -> Shape:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rsinv import insertion, tableaux
-from rsinv.enumeration import count_A, generalized_layered, involutions
+from rsinv.enumeration import count_A, generalized_layered, involutions, layered_from_composition
 from rsinv.errors import (
     DuplicateEntry,
     InvalidTableau,
@@ -169,6 +169,45 @@ def test_tableaux_the_library_built_are_not_checked_again(monkeypatch):
     assert len(set(generalized_layered(6))) == count_A(6)
     with pytest.raises(AssertionError, match="checked a tableau"):
         inverse_rsk((((1, 2),), ((1, 2),)))
+
+
+def seeded_layered(seed, n):
+    # layers of random lengths 1..40, the last one cut to fit
+    rng = random.Random(seed)
+    parts = []
+    while sum(parts) < n:
+        parts.append(min(rng.randint(1, 40), n - sum(parts)))
+    return layered_from_composition(parts)
+
+
+KERNEL_WORDS = {
+    "random": lambda: tuple(random.Random(3).sample(range(1, 2001), 2000)),
+    "decreasing": lambda: decreasing(500),
+    "layered": lambda: seeded_layered(3, 2000),
+    "paired-0.2": lambda: seeded_involution(3, 1500, 0.2),
+    "paired-0.7": lambda: seeded_involution(3, 1000, 0.7),
+    "paired-1.0": lambda: seeded_involution(3, 800, 1.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KERNEL_WORDS))
+def test_bump_kernels_agree_on_large_seeded_words(kind):
+    # rsk's inline bump loop against P built by successive row_insert calls
+    # (Q from their landing rows), and the inline reverse bumps of
+    # inverse_rsk and the peel against each other.
+    p = KERNEL_WORDS[kind]()
+    p_tab, q_rows = (), []
+    for step, x in enumerate(p, start=1):
+        p_tab, landing = row_insert(p_tab, x)
+        if landing > len(q_rows):
+            q_rows.append([])
+        q_rows[landing - 1].append(step)
+    assert rsk(p) == (p_tab, tableaux.as_tableau(q_rows))
+    assert inverse_rsk(rsk(p)) == p
+    if kind.startswith("paired"):
+        t = tableau_of_involution(p)
+        for s in (t, transpose(t)):
+            assert insertion._peel(s) == inverse_rsk((s, s))
 
 
 @given(perms(max_n=7))
