@@ -10,13 +10,19 @@ Permutations always print in the whitespace format so outputs stay
 unambiguous for n >= 10; tableaux print in the single-line JSON format.
 ``run`` parses with one parser, built on its first call and kept for the
 life of the process; ``build_parser`` returns a fresh one.
+``verify --json`` prints one record per check, ``{"suite", "check",
+"max_n", "checked", "failures", "seconds"}``, the record the benchmark's
+verify-battery reports; the text report has no times, so its bytes do not
+change from run to run.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import json
 import os
 import sys
+import time
 from typing import Callable, Sequence
 
 from . import enumeration, verify
@@ -224,8 +230,9 @@ def _cmd_count(args) -> int:
     # 10^digits: refuse before counting.
     if digits and n - 1 >= (10**digits).bit_length():
         raise too_long
+    value = COUNTS[args.what](n)
     try:
-        text = str(COUNTS[args.what](n))
+        text = str(value)
     except ValueError:  # the backstop: only raised where the limit exists
         raise too_long from None
     print(text)
@@ -238,16 +245,33 @@ def _cmd_verify(args) -> int:
         verify.require_budget(names, _require_size(args.max_n))
     all_ok = True
     for name in names:
-        results = [check(args.max_n) for check in verify.SUITES[name]]
+        results = []
+        for check in verify.SUITES[name]:
+            start = time.perf_counter()
+            result = check(args.max_n)
+            seconds = time.perf_counter() - start
+            results.append(result)
+            if args.json:
+                record = {
+                    "suite": name,
+                    "check": result.name,
+                    "max_n": check.max_n if args.max_n is None else args.max_n,
+                    "checked": result.checked,
+                    "failures": result.failures,
+                    "seconds": seconds,
+                }
+                print(json.dumps(record))
+        suite_ok = all(result.ok for result in results)
+        all_ok = all_ok and suite_ok
+        if args.json:
+            continue
         for result in results:
             status = "PASS" if result.ok else "FAIL"
             print(f"{name}/{result.name}: {status} ({result.checked} instances)")
             for failure in result.failures:
                 print(f"  {failure}")
-        suite_ok = all(result.ok for result in results)
         total = sum(result.checked for result in results)
         print(f"{name}: {'PASS' if suite_ok else 'FAIL'} ({total} instances)")
-        all_ok = all_ok and suite_ok
     return 0 if all_ok else 1
 
 
@@ -302,6 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("all",) + tuple(verify.SUITES),
     )
     p_verify.add_argument("--max-n", type=int, default=None)
+    p_verify.add_argument(
+        "--json",
+        action="store_true",
+        help="print one JSON record per check, with its time, instead of the text report",
+    )
     p_verify.set_defaults(func=_cmd_verify)
 
     return parser

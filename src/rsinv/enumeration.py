@@ -14,12 +14,19 @@ from __future__ import annotations
 from math import comb, factorial
 from typing import Callable, Iterator, Sequence
 
+from .errors import InstanceTooLarge
 from .insertion import inverse_rsk_unchecked
 from .permutations import Perm
 from .tableaux import Tableau, as_tableau, conjugate
 
 Partition = tuple[int, ...]
 Composition = tuple[int, ...]
+
+#: most steps, about n^3 / 6, that ``count_A`` may take; past it it refuses
+#: before building a table.  The largest n it answers is 427: n = 400
+#: (10.7 M steps) took 4.5 s and n = 428 (13.1 M) 5.7 s, and time grows
+#: faster than the steps as the integers grow.
+COUNT_A_STEP_BOUND = 13 * 10**6
 
 
 def partitions(n: int) -> Iterator[Partition]:
@@ -126,12 +133,19 @@ def count_A(n: int) -> int:
     instead of p(n) partitions.  It takes about 0.3 s at n = 150, 1.8 s at
     n = 300 and 4.6 s at n = 400 (Python 3.11.7, shared 2-vCPU host): the
     time grows faster than n^3 because the integers grow to about 2n bits.
+    Raises InstanceTooLarge, before any table is built, when n^3 / 6
+    passes COUNT_A_STEP_BOUND.
 
     >>> [count_A(n) for n in range(1, 5)]
     [1, 2, 6, 16]
     """
     if n < 0:
         return 0
+    if n**3 // 6 > COUNT_A_STEP_BOUND:
+        raise InstanceTooLarge(
+            f"count_A at n={n} takes about n^3/6 = {n**3 // 6} steps,"
+            f" past COUNT_A_STEP_BOUND = {COUNT_A_STEP_BOUND}"
+        )
     squares = [[comb(l + m, m) ** 2 for m in range(n + 1 - l)] for l in range(n + 1)]
     ways = [[0] * (n + 1) for _ in range(n + 1)]
     ways[0][0] = 1

@@ -123,9 +123,17 @@ def _canonical(p: Sequence[int]) -> tuple[int, ...]:
     )
 
 
+#: one tuple per distinct profile, handed out by the cache for every orbit
+#: with that profile.  A profile is the prefix sums of a partition of n, so
+#: there are at most sum p(n) <= 915 of them for n <= ORACLE_CAP, where the
+#: battery caches 12,242 orbits with 67 distinct profiles.
+_PROFILES: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def _cached_profile(values: tuple[int, ...]) -> tuple[int, ...]:
-    return _subset_profile(values)
+    profile = _subset_profile(values)
+    return _PROFILES.setdefault(profile, profile)
 
 
 def k_increasing_profile(p: Sequence[int]) -> tuple[int, ...]:

@@ -31,6 +31,15 @@ finding each entry's row through a list.  For T of shape lambda and m
 (n(lambda) - m) / 2, where n(lambda) = sum_i (i-1) lambda_i; the general
 correspondence visits n(lambda) + n and n(lambda).
 
+Every tableau and permutation returned here holds only the caller's int
+objects, never a new int: P, T and the peeled or reverse-bumped outputs
+move the input's entries, and Q's step s is p's entry of value s.  A new
+int costs 28 bytes past 256, more than the 8-byte slot that holds it, so
+a caller that keeps many results keeps about 17 bytes an entry of an
+``rsk`` pair instead of 45.  One exception: ``_involution_tableau``'s
+two-entry cache answers a word equal to one inserted just before with
+the tableau built from that word's objects.
+
 The peel of T^T is quadratic in n for the wide, short T of an involution
 with many fixed points, whose transpose is tall.  Schuetzenberger's
 reversal/evacuation theorem (Knuth, TAOCP vol. 3, 5.1.4) gives the same
@@ -54,7 +63,15 @@ from typing import Sequence
 
 from . import tableaux
 from .errors import DuplicateEntry, ShapeMismatch
-from .permutations import Perm, check_involution, check_permutation, is_involution, jogs, reverse
+from .permutations import (
+    Perm,
+    _check_in_value_order,
+    check_involution,
+    check_permutation,
+    is_involution,
+    jogs,
+    reverse,
+)
 from .tableaux import Tableau
 
 
@@ -104,6 +121,9 @@ def row_insert(t: Sequence[Sequence[int]], x: int) -> tuple[Tableau, int]:
 def rsk(p: Sequence[int]) -> tuple[Tableau, Tableau]:
     """
     The Robinson-Schensted correspondence: p -> (P, Q) of equal shape.
+    Q records step s as p's entry of value s, taken from the value-ordered
+    entries the permutation check sorts, so p is sorted once and both
+    tableaux hold p's own int objects.
 
     >>> rsk((2, 1, 4, 3))
     (((1, 3), (2, 4)), ((1, 3), (2, 4)))
@@ -111,7 +131,7 @@ def rsk(p: Sequence[int]) -> tuple[Tableau, Tableau]:
     # _bump's loop, inlined: the pairs hold row r of P and of Q, and step
     # is recorded in the Q row of the same pair as the append.
     rows: list[tuple[list[int], list[int]]] = []
-    for step, x in enumerate(check_permutation(p), start=1):
+    for x, step in zip(*_check_in_value_order(p)):
         for prow, qrow in rows:
             j = bisect_right(prow, x)
             if j == len(prow):

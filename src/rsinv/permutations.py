@@ -72,18 +72,33 @@ def is_permutation(values: Sequence[int]) -> bool:
     >>> [is_permutation(w) for w in [(), (1,), (2, 1), (1, 1), (0, 1), (None, 1)]]
     [True, True, True, False, False, False]
     """
+    return _in_value_order(values) is not None
+
+
+def _in_value_order(values: Sequence[int]) -> list[int] | None:
+    # The entries as ints, sorted, when they are 1..n each once, else None.
+    # operator.index returns an int as itself, so item s-1 is the entry of
+    # value s as the caller's own int object: rsk records it in Q instead
+    # of making a new int for each step.
     try:
-        return sorted(map(index, values)) == list(range(1, len(values) + 1))
+        ordered = sorted(map(index, values))
     except TypeError:
-        return False
+        return None
+    return ordered if ordered == list(range(1, len(values) + 1)) else None
+
+
+def _check_in_value_order(values: Sequence[int]) -> tuple[Perm, list[int]]:
+    # check_permutation, also returning the entries in value order.
+    p = tuple(values)
+    ordered = _in_value_order(p)
+    if ordered is None:
+        raise InvalidPermutation(f"not a permutation of 1..{len(p)}: {p}")
+    return p, ordered
 
 
 def check_permutation(values: Sequence[int]) -> Perm:
     """Return ``values`` as a tuple, raising InvalidPermutation if it is not one."""
-    p = tuple(values)
-    if not is_permutation(p):
-        raise InvalidPermutation(f"not a permutation of 1..{len(p)}: {p}")
-    return p
+    return _check_in_value_order(values)[0]
 
 
 def identity(n: int) -> Perm:

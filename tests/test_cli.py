@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -370,6 +371,16 @@ def test_count(capsys):
     assert out == "764\n"
 
 
+def test_count_A_past_its_step_bound_is_refused_at_once(capsys):
+    # n^3 / 6 steps of the dynamic programme would take minutes here
+    start = time.perf_counter()
+    assert run(["count", "--what", "A", "--n", "1000"]) == 2
+    assert time.perf_counter() - start < 1
+    out, err = out_of(capsys)
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: ") and "COUNT_A_STEP_BOUND" in err
+
+
 @pytest.mark.parametrize("what", ["A", "layered", "involutions"])
 def test_count_past_the_int_to_str_limit(what, capsys, monkeypatch):
     if not hasattr(sys, "get_int_max_str_digits"):
@@ -403,6 +414,29 @@ def test_verify_suite(capsys):
     assert any(line.startswith("counting/formula-vs-scan:") for line in lines)
     assert "instances" in lines[0]
     assert lines[-1].startswith("counting: PASS")
+
+
+def test_verify_json_records(capsys, monkeypatch):
+    # one record per check, in suite order, and no text report
+    assert run(["verify", "--suite", "rsk", "--json"]) == 0
+    out, err = out_of(capsys)
+    records = [json.loads(line) for line in out.splitlines()]
+    assert err == ""
+    assert [r["check"] for r in records] == [check.name for check in verify.SUITES["rsk"]]
+    for record, check in zip(records, verify.SUITES["rsk"]):
+        assert list(record) == ["suite", "check", "max_n", "checked", "failures", "seconds"]
+        assert record["suite"] == "rsk" and record["max_n"] == check.max_n
+        assert type(record["checked"]) is int and record["checked"] > 0
+        assert record["failures"] == []
+        assert type(record["seconds"]) is float and record["seconds"] >= 0
+    # --max-n is the size each record reports; a failing check exits 1
+    failing = verify.Check("always-false", verify._sizes(lambda n: 1), 2, lambda n: False)
+    monkeypatch.setitem(verify.SUITES, "counting", [failing])
+    assert run(["verify", "--suite", "counting", "--max-n", "1", "--json"]) == 1
+    out, _ = out_of(capsys)
+    (record,) = map(json.loads, out.splitlines())
+    assert record["max_n"] == 1 and record["checked"] == 1
+    assert record["failures"] == ["always-false fails at n=1"]
 
 
 def test_verify_negative_max_n(capsys):

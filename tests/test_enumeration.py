@@ -3,6 +3,7 @@ import sys
 import pytest
 
 from rsinv.enumeration import (
+    COUNT_A_STEP_BOUND,
     comp_count,
     compositions,
     count_A,
@@ -81,6 +82,13 @@ def test_count_A_matches_partition_sum():
 def test_count_A_bounds_at_200():
     # p(200) is about 4e12, so the partition sum could not reach this
     assert verify_bounds(200)
+
+
+def test_count_A_refuses_past_its_step_bound():
+    # n = 400 answers in under 5 s; from n = 428 the answer would take longer
+    assert 400**3 // 6 <= COUNT_A_STEP_BOUND < 428**3 // 6
+    with pytest.raises(InstanceTooLarge, match="COUNT_A_STEP_BOUND"):
+        count_A(428)
 
 
 def test_brute_count_examples():

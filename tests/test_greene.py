@@ -9,6 +9,7 @@ from rsinv.enumeration import layered_from_composition
 from rsinv.errors import InstanceTooLarge, InvalidPermutation
 from rsinv.greene import (
     _cached_profile,
+    _canonical,
     _subset_profile,
     k_decreasing_profile,
     k_increasing_profile,
@@ -141,6 +142,14 @@ def test_symmetry_keyed_profile_equals_the_raw_scan():
     # Reversal is not a symmetry: it swaps increasing and decreasing.
     assert _subset_profile((1, 2, 3)) != _subset_profile(reverse((1, 2, 3)))
     assert _cached_profile.cache_info().maxsize is not None
+
+
+def test_equal_profiles_are_one_tuple():
+    # 2134 and 1324 lie in different orbits, both of shape (3, 1)
+    _cached_profile.cache_clear()
+    first = k_increasing_profile((2, 1, 3, 4))
+    assert _canonical((2, 1, 3, 4)) != _canonical((1, 3, 2, 4))
+    assert k_increasing_profile((1, 3, 2, 4)) is first
 
 
 def test_subset_profile_equals_the_subset_walk_at_large_n():

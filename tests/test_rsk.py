@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -208,6 +209,60 @@ def test_bump_kernels_agree_on_large_seeded_words(kind):
         t = tableau_of_involution(p)
         for s in (t, transpose(t)):
             assert insertion._peel(s) == inverse_rsk((s, s))
+
+
+def entries(x):
+    # the ints nested in a tableau or a permutation
+    return [x] if isinstance(x, int) else [v for item in x for v in entries(item)]
+
+
+def test_outputs_hold_the_callers_int_objects():
+    # An int past 256 made afresh is a new object, so a result that made
+    # its own entries instead of moving the input's fails here.  f takes
+    # the evacuation route at 20% paired and the peel at 100%; both routes
+    # are also run directly.
+    insertion._involution_tableau.cache_clear()
+    p = tuple(random.Random(5).sample(range(1, 1001), 1000))
+    ids = {id(v) for v in p}
+    p_tab, q_tab = rsk(p)
+    assert {id(v) for v in entries(p_tab)} <= ids
+    assert {id(v) for v in entries(q_tab)} <= ids
+    assert {id(v) for v in entries(inverse_rsk((p_tab, q_tab)))} <= ids
+    assert {id(v) for v in entries(row_insert(p_tab[1:], p_tab[0][0])[0])} <= ids
+    for paired in (0.2, 1.0):
+        q = seeded_involution(5, 1000, paired)
+        ids = {id(v) for v in q}
+        t = tableau_of_involution(q)
+        for result in (
+            t,
+            f_involution(q),
+            insertion._by_evacuation(q, t),
+            insertion._by_transpose(t),
+        ):
+            assert {id(v) for v in entries(result)} <= ids
+
+
+def test_recording_tableau_entries_are_plain_ints():
+    # operator.index turns the entry True into the int 1
+    q_tab = rsk((True, 2))[1]
+    assert q_tab == ((1, 2),)
+    assert all(type(v) is int for v in entries(q_tab))
+
+
+def test_rsk_pair_keeps_about_two_pointers_an_entry():
+    # Two tableaux of 8-byte slots hold 16 bytes an entry, plus a tuple
+    # header for each row.  One new int an entry of Q adds 28 more.
+    n = 20_000
+    p = tuple(random.Random(1).sample(range(1, n + 1), n))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pair = rsk(p)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert tableaux.size(pair[1]) == n
+    assert kept / n < 24
 
 
 @given(perms(max_n=7))
