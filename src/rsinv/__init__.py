@@ -37,6 +37,7 @@ from .permutations import (
     is_involution,
     is_layered,
     is_permutation,
+    jog_lengths,
     jogs,
     layers,
     parse_permutation,

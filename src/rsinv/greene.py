@@ -43,10 +43,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
+from itertools import accumulate
+from operator import eq
 from typing import Sequence
 
 from .errors import InstanceTooLarge
-from .permutations import Interval, inverse, jogs, reverse
+from .permutations import inverse, jog_lengths, reverse
 
 #: largest n the subset oracle will accept
 ORACLE_CAP = 16
@@ -170,15 +172,10 @@ def longest_k_decreasing(p: Sequence[int], k: int) -> int:
     return longest_k_increasing(reverse(p), k)
 
 
-def _tight_against(profile: tuple[int, ...], intervals: list[Interval]) -> bool:
-    # Compare cumulative lengths of the longest intervals against the profile.
-    lengths = sorted((iv.length for iv in intervals), reverse=True)
-    total = 0
-    for k, length in enumerate(lengths, start=1):
-        total += length
-        if total != profile[k]:
-            return False
-    return True
+def _tight_against(profile: tuple[int, ...], lengths: list[int]) -> bool:
+    # The sum of the k longest lengths is profile[k] for every k up to the
+    # number of lengths; map stops at the shorter of its two inputs.
+    return all(map(eq, accumulate(lengths), profile[1:]))
 
 
 def oracle_is_gfk_tight(p: Sequence[int]) -> bool:
@@ -187,7 +184,7 @@ def oracle_is_gfk_tight(p: Sequence[int]) -> bool:
     jointly realize the oracle's longest k-increasing subsequence length.
     Beyond that k both sides equal n, so the quantifier stops there.
     """
-    return _tight_against(k_increasing_profile(p), jogs(p))
+    return _tight_against(k_increasing_profile(p), jog_lengths(p))
 
 
 def oracle_is_dually_gfk_tight(p: Sequence[int]) -> bool:

@@ -69,7 +69,7 @@ from .permutations import (
     check_involution,
     check_permutation,
     is_involution,
-    jogs,
+    jog_lengths,
     reverse,
 )
 from .tableaux import Tableau
@@ -301,7 +301,7 @@ def is_gfk_tight(p: Sequence[int]) -> bool:
     (True, False)
     """
     rows = tableaux.shape(_insertion_tableau(p))
-    return tuple(sorted((iv.length for iv in jogs(p)), reverse=True)) == rows
+    return tuple(jog_lengths(p)) == rows
 
 
 def is_dually_gfk_tight(p: Sequence[int]) -> bool:

@@ -4,17 +4,19 @@ A permutation of length n is a tuple of the values 1..n, each exactly once;
 ``p[i]`` is the value in position i+1 (positions and values are 1-based
 throughout, the empty tuple is the length-0 permutation).  Results are
 plain tuples.  On a word that is not a permutation, such as (1, 1), (0, 1)
-or (None, 1), the predicates answer False, ``inverse``, ``jogs`` and
-``reverse_jogs`` raise InvalidPermutation, and ``layers`` NotLayered.
+or (None, 1), the predicates answer False, ``inverse``, ``jogs``,
+``jog_lengths`` and ``reverse_jogs`` raise InvalidPermutation, and
+``layers`` NotLayered.
 ``reverse``, ``descent_set``, ``prefix_lds_lengths``, ``longest_decreasing``
 and ``record_breakers`` take any integer word.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from itertools import permutations as _permutations
+from functools import lru_cache
+from itertools import compress, count, permutations as _permutations
 from math import comb, inf
-from operator import index
+from operator import gt, index, sub
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -222,6 +224,17 @@ def descent_set(p: Sequence[int]) -> set[int]:
     return {i + 1 for i in range(len(p) - 1) if p[i] > p[i + 1]}
 
 
+def _jog_ends(p: Sequence[int]) -> list[int]:
+    # The largest value of each jog, in increasing order: v ends a jog
+    # exactly when v+1 precedes v in p, a descent of p^-1, and n ends the
+    # last one.  inverse refuses a word that is not a permutation.
+    pos = inverse(p)
+    ends = list(compress(count(1), map(gt, pos, pos[1:])))
+    if pos:
+        ends.append(len(pos))
+    return ends
+
+
 def jogs(p: Sequence[int]) -> list[Interval]:
     """
     Decompose 1..n into jogs: maximal sets of consecutive integers whose
@@ -231,17 +244,20 @@ def jogs(p: Sequence[int]) -> list[Interval]:
     >>> jogs((3, 6, 1, 4, 7, 2, 5))
     [Interval(lo=1, hi=2), Interval(lo=3, hi=5), Interval(lo=6, hi=7)]
     """
-    pos = inverse(p)
-    n = len(p)
-    blocks = []
-    lo = 1
-    for v in range(1, n):
-        if pos[v - 1] > pos[v]:
-            blocks.append(Interval(lo, v))
-            lo = v + 1
-    if n >= 1:
-        blocks.append(Interval(lo, n))
-    return blocks
+    ends = _jog_ends(p)
+    return [Interval(lo + 1, hi) for lo, hi in zip([0] + ends, ends)]
+
+
+def jog_lengths(p: Sequence[int]) -> list[int]:
+    """
+    The lengths of the jogs of p, longest first, without building the
+    intervals: what the GFK-tightness tests compare.
+
+    >>> jog_lengths((3, 6, 1, 4, 7, 2, 5))
+    [3, 2, 2]
+    """
+    ends = _jog_ends(p)
+    return sorted(map(sub, ends, [0] + ends), reverse=True)
 
 
 def reverse_jogs(p: Sequence[int]) -> list[Interval]:
@@ -348,6 +364,28 @@ def pattern_of(values: Sequence[int]) -> Perm:
     return tuple(rank[v] for v in values)
 
 
+@lru_cache(maxsize=64)
+def _pattern_bounds(pattern: Perm) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # The value matched to place t must lie strictly between the values
+    # matched to below[t] and above[t], the earlier places whose pattern
+    # values are next below and next above q[t].  Places k and k+1 hold
+    # sentinels for "none".  The bounds are strict, so a match never
+    # repeats a value: a repeated value has no order type to match.  The
+    # tables depend on the pattern alone, so each is built once; the key is
+    # a validated pattern of length at most MAX_PATTERN_LENGTH.
+    k = len(pattern)
+    place = [0] * (k + 1)
+    for t, v in enumerate(pattern):
+        place[v] = t
+    below, above, seen = [], [], []
+    for v in pattern:
+        r = bisect_right(seen, v)
+        below.append(place[seen[r - 1]] if r else k)
+        above.append(place[seen[r]] if r < len(seen) else k + 1)
+        insort(seen, v)
+    return tuple(below), tuple(above)
+
+
 def contains_pattern(p: Sequence[int], q: Sequence[int]) -> bool:
     """
     Exhaustive containment: does some subsequence of p have the same
@@ -379,20 +417,7 @@ def contains_pattern(p: Sequence[int], q: Sequence[int]) -> bool:
             f"pattern scan capped at {PATTERN_SCAN_BUDGET} subsets,"
             f" got C({n}, {k}) = {subsets}"
         )
-    # The value matched to place t must lie strictly between the values
-    # matched to below[t] and above[t], the earlier places whose pattern
-    # values are next below and next above q[t].  Places k and k+1 hold
-    # sentinels for "none".  The bounds are strict, so a match never
-    # repeats a value: a repeated value has no order type to match.
-    place = [0] * (k + 1)
-    for t, v in enumerate(pattern):
-        place[v] = t
-    below, above, seen = [], [], []
-    for v in pattern:
-        r = bisect_right(seen, v)
-        below.append(place[seen[r - 1]] if r else k)
-        above.append(place[seen[r]] if r < len(seen) else k + 1)
-        insort(seen, v)
+    below, above = _pattern_bounds(pattern)
     match = [0] * k + [-inf, inf]
     last = k - 1
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain
-from operator import ge, lt
+from operator import ge, index, lt
 from typing import Sequence
 
 from .errors import InvalidTableau
@@ -32,14 +32,18 @@ def size(t: Sequence[Sequence[int]]) -> int:
 
 def conjugate(s: Sequence[int]) -> Shape:
     """
-    The conjugate partition: column lengths of the Young diagram.
+    The conjugate partition: column lengths of the Young diagram of the
+    partition s (weakly decreasing parts, zero parts ignored).  The columns
+    that reach row h but not row h+1 are appended at once, so it takes
+    O(len(s) + s[0]) steps.
 
     >>> conjugate((3, 3, 2, 1))
     (4, 3, 2)
     """
-    if not s:
-        return ()
-    return tuple(sum(1 for length in s if length > c) for c in range(max(s)))
+    heights: list[int] = []
+    for h in range(len(s), 0, -1):
+        heights.extend([h] * (s[h - 1] - len(heights)))
+    return tuple(heights)
 
 
 def validate(t: Sequence[Sequence[int]]) -> bool:
@@ -50,13 +54,18 @@ def validate(t: Sequence[Sequence[int]]) -> bool:
     untrusted input.  Each check is one C-level scan (``map`` over
     ``operator``), and each relies on the ones before it: the shape is
     checked before the entries are sorted, and the entries are 1..n before
-    rows and columns are compared.
+    rows and columns are compared.  An entry that is not an integer, such
+    as None, "a" or 2.0, is a violation too; a bool counts as 0 or 1.
     """
     rows = [list(row) for row in t]
     lengths = [len(row) for row in rows]
     if not all(lengths) or not all(map(ge, lengths, lengths[1:])):
         return False
-    if sorted(chain.from_iterable(rows)) != list(range(1, sum(lengths) + 1)):
+    try:
+        entries = sorted(map(index, chain.from_iterable(rows)))
+    except TypeError:
+        return False
+    if entries != list(range(1, sum(lengths) + 1)):
         return False
     return all(all(map(lt, row, row[1:])) for row in rows) and all(
         all(map(lt, upper, lower)) for upper, lower in zip(rows, rows[1:])
@@ -75,17 +84,19 @@ def check_tableau(t: Sequence[Sequence[int]]) -> Tableau:
 def transpose(t: Sequence[Sequence[int]]) -> Tableau:
     """
     Reflect across the main diagonal: the entry in row r, column c moves to
-    row c, column r.
+    row c, column r.  Row lengths must weakly decrease, as in a tableau;
+    each entry is moved once, in O(n) steps whatever the shape.
 
     >>> transpose(((1, 3, 6), (2, 4, 7), (5, 8), (9,)))
     ((1, 2, 5, 9), (3, 4, 8), (6, 7))
     """
     if not t:
         return ()
-    width = len(t[0])
-    return tuple(
-        tuple(row[c] for row in t if len(row) > c) for c in range(width)
-    )
+    columns: list[list[int]] = [[] for _ in t[0]]
+    for row in t:
+        for column, x in zip(columns, row):
+            column.append(x)
+    return tuple(map(tuple, columns))
 
 
 def row_of_entry(t: Sequence[Sequence[int]]) -> dict[int, int]:

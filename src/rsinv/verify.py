@@ -29,6 +29,7 @@ import inspect
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from math import factorial
+from operator import le
 from typing import Any, Callable, Iterable
 
 from . import direct, enumeration, greene, tableaux
@@ -41,6 +42,7 @@ from .permutations import (
     inverse,
     is_involution,
     is_layered,
+    jog_lengths,
     jogs,
     layers,
     longest_decreasing,
@@ -195,11 +197,6 @@ def _distinct_family(
     return len(members) == len(set(members)) == count and all(map(valid, members))
 
 
-def _lengths(intervals) -> list[int]:
-    """Interval lengths, longest first."""
-    return sorted((iv.length for iv in intervals), reverse=True)
-
-
 def _tight_both_ways(p) -> bool:
     """p and its inverse are both GFK-tight, by the oracle."""
     return greene.oracle_is_gfk_tight(p) and greene.oracle_is_gfk_tight(inverse(p))
@@ -232,7 +229,7 @@ def _profile_monotone(p) -> bool:
 
 def _jog_lower_bound(p) -> bool:
     inc = greene.k_increasing_profile(p)
-    return all(total <= inc[k] for k, total in enumerate(accumulate(_lengths(jogs(p))), start=1))
+    return all(map(le, accumulate(jog_lengths(p)), inc[1:]))
 
 
 def _layered_tableau_sets(n: int) -> bool:
@@ -381,7 +378,7 @@ SUITES: dict[str, list[Check]] = {
             "shape-jog-multisets",
             PERMUTATIONS,
             7,
-            lambda p: _lengths(jogs(p)) == _lengths(jogs(inverse(p)))
+            lambda p: jog_lengths(p) == jog_lengths(inverse(p))
             == sorted(shape(rsk(p)[0]), reverse=True),
             where=_tight_both_ways,
         ),

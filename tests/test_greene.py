@@ -273,6 +273,17 @@ def test_profile_monotone_and_saturating():
     assert CHECKS["profile-monotone"](7).ok
 
 
+def test_tight_against_compares_every_prefix_sum():
+    # the k longest lengths must sum to profile[k] for every k up to the
+    # number of lengths, the last one included; profile[0] is 0
+    assert greene._tight_against((0, 3, 5, 6, 6, 6, 6), [3, 2, 1])
+    assert not greene._tight_against((0, 3, 5, 5, 6, 6, 6), [3, 2, 1])
+    assert not greene._tight_against((0, 4, 5, 6, 6, 6, 6), [3, 2, 1])
+    assert greene._tight_against((0, 1, 2, 3), [1, 1, 1])
+    assert not greene._tight_against((0, 1, 2, 2), [1, 1, 1])
+    assert greene._tight_against((0,), [])
+
+
 def test_jog_lower_bound():
     result = CHECKS["jog-lower-bound"](8)
     assert result.ok, result.failures

@@ -26,6 +26,7 @@ from rsinv.permutations import (
     is_involution,
     is_layered,
     is_permutation,
+    jog_lengths,
     jogs,
     layers,
     parse_permutation,
@@ -139,6 +140,18 @@ def test_reverse_jogs_examples():
     assert reverse_jogs(identity(4)) == intervals([(1, 1), (2, 2), (3, 3), (4, 4)])
 
 
+def test_jog_lengths_are_the_jogs_lengths_longest_first():
+    rng = random.Random(17)
+    words = [p for n in range(8) for p in all_permutations(n)]
+    words += [tuple(rng.sample(range(1, 2001), 2000)) for _ in range(3)]
+    words += [(), identity(2000), decreasing(2000)]
+    for p in words:
+        assert jog_lengths(p) == sorted((iv.length for iv in jogs(p)), reverse=True), p
+    assert jog_lengths(identity(2000)) == [2000]
+    assert jog_lengths(decreasing(2000)) == [1] * 2000
+    assert jog_lengths((3, 6, 1, 4, 7, 2, 5)) == [3, 2, 2]
+
+
 def test_layers_examples():
     assert is_layered((2, 1, 5, 4, 3, 7, 6))
     assert layers((2, 1, 5, 4, 3, 7, 6)) == intervals([(1, 2), (3, 5), (6, 7)])
@@ -158,7 +171,7 @@ def test_layers_rejects_unlayered():
 
 
 @pytest.mark.parametrize("word", [(3, 1), (1, 1), (0, 1), (2, 0), (None, 1)])
-@pytest.mark.parametrize("decompose", [inverse, jogs, reverse_jogs])
+@pytest.mark.parametrize("decompose", [inverse, jogs, jog_lengths, reverse_jogs])
 def test_non_permutation_refused(decompose, word):
     with pytest.raises(InvalidPermutation):
         decompose(word)
@@ -269,6 +282,28 @@ def test_monotone_patterns_answer_past_the_scan_budget():
             call(word, (2, 1, 4, 3))
     # the budget sits well above the scans of small words
     assert PATTERN_SCAN_BUDGET > 500 * 1820  # C(16, 4)
+
+
+def test_contains_pattern_checks_the_pattern_on_every_call():
+    # The search tables are built once per pattern and then reused: the
+    # answers must not change once they are, and every call still checks
+    # the pattern first.  (1.0, 2.0) equals (1, 2) and hashes like it, so a
+    # table lookup before the check would answer it.
+    patterns = [q for k in range(1, 5) for q in all_permutations(k)]
+    for _ in range(2):  # tables built, then reused
+        for n in range(7):
+            for p in all_permutations(n):
+                contained = {pattern_of(sub) for k in range(1, 5) for sub in combinations(p, k)}
+                for q in patterns:
+                    assert contains_pattern(p, q) == (q in contained), (p, q)
+    for bad in ([[1]], (1, 1), (0, 1), (1.0, 2.0), (None, 1)):
+        with pytest.raises(InvalidPermutation):
+            contains_pattern((2, 1, 3), bad)
+    assert contains_pattern((2, 1, 3), (True, 2))  # a bool is 0 or 1
+    with pytest.raises(PatternTooLarge):
+        contains_pattern(identity(8), identity(7))
+    with pytest.raises(InstanceTooLarge):
+        contains_pattern(decreasing(400), (2, 1, 4, 3))
 
 
 def test_contains_pattern_agrees_with_standardization():

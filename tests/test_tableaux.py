@@ -1,9 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from rsinv.enumeration import layered_tableaux, standard_tableaux
 from rsinv.errors import InvalidTableau
-from rsinv.insertion import rsk
+from rsinv.insertion import inverse_rsk, rsk, tableau_of_involution
 from rsinv.tableaux import (
     conjugate,
     first_column,
@@ -37,6 +39,15 @@ def test_validate():
     assert not validate(((1, 2), ()))  # empty row
     assert not validate(((2, 3), (4, 5)))  # entries must be 1..n
     assert not validate(((1, 3), (2, 4), (4,)))
+    # an entry that is not an integer is a violation, not an exception
+    for t in (((1, None),), ((1, "a"),), ((1.0, 2.0),), ((1,), (2.0,)), (([1],),)):
+        assert not validate(t), t
+    assert validate(((True, 2),))
+
+
+def test_inverse_rsk_refuses_float_entries():
+    with pytest.raises(InvalidTableau):
+        inverse_rsk((((1.0,),), ((1.0,),)))
 
 
 def reference_validate(t):
@@ -89,6 +100,42 @@ def test_transpose():
     assert transpose(LAYERED) == FLIPPED
     assert transpose(((1, 2, 3),)) == ((1,), (2,), (3,))
     assert transpose(()) == ()
+
+
+def _transpose_by_columns(t):
+    # the definition, one column at a time: a scan of every row per column
+    if not t:
+        return ()
+    return tuple(tuple(row[c] for row in t if len(row) > c) for c in range(len(t[0])))
+
+
+def _conjugate_by_counting(s):
+    # the definition: column c is as tall as the number of parts above c
+    if not s:
+        return ()
+    return tuple(sum(1 for length in s if length > c) for c in range(max(s)))
+
+
+def test_transpose_and_conjugate_agree_with_the_column_scans():
+    tabs = [t for n in range(9) for t in standard_tableaux(n)]
+    # wide and tall at n = 2000: an involution's tableau with 20% of its
+    # entries in 2-cycles, a random permutation's P, a hook, and transposes
+    n = 2000
+    rng = random.Random(5)
+    order = rng.sample(range(1, n + 1), n)
+    pairs = dict(zip(order[:400:2], order[1:400:2]))
+    pairs.update({b: a for a, b in pairs.items()})
+    hook = (tuple(range(1, 1001)),) + tuple((v,) for v in range(1001, n + 1))
+    for big in (
+        tableau_of_involution(tuple(pairs.get(i, i) for i in range(1, n + 1))),
+        rsk(tuple(rng.sample(range(1, n + 1), n)))[0],
+        hook,
+    ):
+        tabs += [big, _transpose_by_columns(big)]
+    for t in tabs:
+        assert transpose(t) == _transpose_by_columns(t)
+        assert conjugate(shape(t)) == _conjugate_by_counting(shape(t))
+    assert conjugate((2, 1, 0)) == (2, 1)
 
 
 @given(tableaux_from_perms())
