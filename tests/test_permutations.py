@@ -285,17 +285,13 @@ def test_monotone_patterns_answer_past_the_scan_budget():
 
 
 def test_contains_pattern_checks_the_pattern_on_every_call():
-    # The search tables are built once per pattern and then reused: the
-    # answers must not change once they are, and every call still checks
-    # the pattern first.  (1.0, 2.0) equals (1, 2) and hashes like it, so a
-    # table lookup before the check would answer it.
-    patterns = [q for k in range(1, 5) for q in all_permutations(k)]
-    for _ in range(2):  # tables built, then reused
-        for n in range(7):
-            for p in all_permutations(n):
-                contained = {pattern_of(sub) for k in range(1, 5) for sub in combinations(p, k)}
-                for q in patterns:
-                    assert contains_pattern(p, q) == (q in contained), (p, q)
+    # The search tables are built once per pattern and then reused, but
+    # every call still checks the pattern first.  (1.0, 2.0) equals (1, 2)
+    # and hashes like it, so a table lookup before the check would answer
+    # it.  test_contains_pattern_agrees_with_standardization checks the
+    # answers with the tables reused.
+    for q in ((1, 2), (2, 1), (1, 2, 3)):
+        assert contains_pattern((2, 1, 3), q) == (q != (1, 2, 3))
     for bad in ([[1]], (1, 1), (0, 1), (1.0, 2.0), (None, 1)):
         with pytest.raises(InvalidPermutation):
             contains_pattern((2, 1, 3), bad)

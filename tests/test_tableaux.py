@@ -110,7 +110,7 @@ def _transpose_by_columns(t):
 
 
 def _conjugate_by_counting(s):
-    # the definition: column c is as tall as the number of parts above c
+    # the definition: column c is as tall as the number of parts longer than c
     if not s:
         return ()
     return tuple(sum(1 for length in s if length > c) for c in range(max(s)))
