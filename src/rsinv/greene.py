@@ -38,6 +38,15 @@ the size cap, ORACLE_CAP = 16, before the cache.  The k-decreasing
 profile and dual tightness of p are the k-increasing profile and
 tightness of the reversed word, so one programme and one cache serve
 both sides.
+
+Each call inverts its word once: the key is built from p and p^-1, and
+the jogs of p are read from the same p^-1.  The predicates on p and p^-1
+together look the profile up once, since the two share an orbit, and read
+the jogs of p^-1 from p.  Their dual forms, on rev p and rev(p^-1), need
+one lookup too: rev(p^-1) is (rev p)^-1 turned by 180 degrees, and the
+turn keeps the jog lengths as well as the profile (i precedes i+1 in w
+exactly when n-i precedes n+1-i in w^rc).  So a dual form is the plain
+one on rev p.
 """
 from __future__ import annotations
 
@@ -48,7 +57,7 @@ from operator import eq
 from typing import Sequence
 
 from .errors import InstanceTooLarge
-from .permutations import inverse, jog_lengths, reverse
+from .permutations import inverse, jog_lengths_from_inverse, reverse
 
 #: largest n the subset oracle will accept
 ORACLE_CAP = 16
@@ -112,17 +121,17 @@ def _subset_profile(values: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(best)
 
 
-def _canonical(p: Sequence[int]) -> tuple[int, ...]:
-    # The least of p, p^-1, p^rc and (p^rc)^-1; (p^rc)^-1 = (p^-1)^rc.
-    p = tuple(p)
-    inv = inverse(p)  # refuses a word that is not a permutation
+def _orbit_key(p: tuple[int, ...], inv: tuple[int, ...]) -> tuple[int, ...]:
+    # The least of p, p^-1, p^rc and (p^rc)^-1 = (p^-1)^rc.  A turned image
+    # is built only when its first entry, n+1 less the last entry of the
+    # word it turns, is no more than that of the least so far.
     m = len(p) + 1
-    return min(
-        p,
-        inv,
-        tuple([m - v for v in reversed(p)]),
-        tuple([m - v for v in reversed(inv)]),
-    )
+    key = min(p, inv)
+    if p and m - p[-1] <= key[0]:
+        key = min(key, tuple([m - v for v in reversed(p)]))
+    if inv and m - inv[-1] <= key[0]:
+        key = min(key, tuple([m - v for v in reversed(inv)]))
+    return key
 
 
 #: one tuple per distinct profile, handed out by the cache for every orbit
@@ -138,13 +147,22 @@ def _cached_profile(values: tuple[int, ...]) -> tuple[int, ...]:
     return _PROFILES.setdefault(profile, profile)
 
 
+def _profile_and_inverse(p: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # The k-increasing profile of p and p^-1, from one call of inverse,
+    # which refuses a word that is not a permutation.  The cap is checked
+    # first, so a cached orbit is refused past it too.
+    if len(p) > ORACLE_CAP:
+        raise InstanceTooLarge(f"subset oracle capped at n <= {ORACLE_CAP}, got {len(p)}")
+    p = tuple(p)
+    inv = inverse(p)
+    return _cached_profile(_orbit_key(p, inv)), inv
+
+
 def k_increasing_profile(p: Sequence[int]) -> tuple[int, ...]:
     """profile[k] = length of the longest k-increasing subsequence, k = 0..n.
     Raises InstanceTooLarge past the oracle cap, cached or not, and
     InvalidPermutation unless p is a permutation of 1..n."""
-    if len(p) > ORACLE_CAP:
-        raise InstanceTooLarge(f"subset oracle capped at n <= {ORACLE_CAP}, got {len(p)}")
-    return _cached_profile(_canonical(p))
+    return _profile_and_inverse(p)[0]
 
 
 def k_decreasing_profile(p: Sequence[int]) -> tuple[int, ...]:
@@ -184,7 +202,8 @@ def oracle_is_gfk_tight(p: Sequence[int]) -> bool:
     jointly realize the oracle's longest k-increasing subsequence length.
     Beyond that k both sides equal n, so the quantifier stops there.
     """
-    return _tight_against(k_increasing_profile(p), jog_lengths(p))
+    profile, inv = _profile_and_inverse(p)
+    return _tight_against(profile, jog_lengths_from_inverse(inv))
 
 
 def oracle_is_dually_gfk_tight(p: Sequence[int]) -> bool:
@@ -193,3 +212,19 @@ def oracle_is_dually_gfk_tight(p: Sequence[int]) -> bool:
     reverse jogs of p are the jogs of its reversed word, so this is
     oracle_is_gfk_tight of that word."""
     return oracle_is_gfk_tight(reverse(p))
+
+
+def oracle_is_gfk_tight_both_ways(p: Sequence[int]) -> bool:
+    """oracle_is_gfk_tight of p and of p^-1, from one profile lookup: the
+    jogs of p are read from p^-1, and those of p^-1 from p."""
+    profile, inv = _profile_and_inverse(p)
+    return _tight_against(profile, jog_lengths_from_inverse(inv)) and _tight_against(
+        profile, jog_lengths_from_inverse(p)
+    )
+
+
+def oracle_is_dually_gfk_tight_both_ways(p: Sequence[int]) -> bool:
+    """oracle_is_dually_gfk_tight of p and of p^-1: oracle_is_gfk_tight of
+    rev p and of rev(p^-1), which is that of rev p and of (rev p)^-1, since
+    rev(p^-1) is (rev p)^-1 turned by 180 degrees."""
+    return oracle_is_gfk_tight_both_ways(reverse(p))

@@ -8,7 +8,8 @@ or (None, 1), the predicates answer False, ``inverse``, ``jogs``,
 ``jog_lengths`` and ``reverse_jogs`` raise InvalidPermutation, and
 ``layers`` NotLayered.
 ``reverse``, ``descent_set``, ``prefix_lds_lengths``, ``longest_decreasing``
-and ``record_breakers`` take any integer word.
+and ``record_breakers`` take any integer word; ``jog_lengths_from_inverse``
+trusts its caller to pass the inverse of a permutation.
 """
 from __future__ import annotations
 
@@ -224,11 +225,10 @@ def descent_set(p: Sequence[int]) -> set[int]:
     return {i + 1 for i in range(len(p) - 1) if p[i] > p[i + 1]}
 
 
-def _jog_ends(p: Sequence[int]) -> list[int]:
-    # The largest value of each jog, in increasing order: v ends a jog
-    # exactly when v+1 precedes v in p, a descent of p^-1, and n ends the
-    # last one.  inverse refuses a word that is not a permutation.
-    pos = inverse(p)
+def _jog_ends(pos: Sequence[int]) -> list[int]:
+    # The largest value of each jog of p, in increasing order, read from
+    # pos = p^-1: v ends a jog exactly when v+1 precedes v in p, a descent
+    # of pos, and n ends the last one.
     ends = list(compress(count(1), map(gt, pos, pos[1:])))
     if pos:
         ends.append(len(pos))
@@ -244,7 +244,7 @@ def jogs(p: Sequence[int]) -> list[Interval]:
     >>> jogs((3, 6, 1, 4, 7, 2, 5))
     [Interval(lo=1, hi=2), Interval(lo=3, hi=5), Interval(lo=6, hi=7)]
     """
-    ends = _jog_ends(p)
+    ends = _jog_ends(inverse(p))
     return [Interval(lo + 1, hi) for lo, hi in zip([0] + ends, ends)]
 
 
@@ -256,7 +256,18 @@ def jog_lengths(p: Sequence[int]) -> list[int]:
     >>> jog_lengths((3, 6, 1, 4, 7, 2, 5))
     [3, 2, 2]
     """
-    ends = _jog_ends(p)
+    return jog_lengths_from_inverse(inverse(p))
+
+
+def jog_lengths_from_inverse(pos: Sequence[int]) -> list[int]:
+    """
+    jog_lengths of the permutation whose inverse is pos, read from pos
+    alone: for a caller that holds p^-1 already.  pos is not checked.
+
+    >>> jog_lengths_from_inverse((2, 3, 1)) == jog_lengths((3, 1, 2)) == [2, 1]
+    True
+    """
+    ends = _jog_ends(pos)
     return sorted(map(sub, ends, [0] + ends), reverse=True)
 
 

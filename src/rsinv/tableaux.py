@@ -4,11 +4,16 @@ A tableau is a tuple of rows (tuples of ints); a shape is the tuple of row
 lengths.  Entries of a standard tableau on n boxes are exactly 1..n,
 strictly increasing along rows and down columns.  The empty tableau ``()``
 is valid.
+
+The predicates on tableaux answer False on rows that ``validate`` rejects,
+and ``tableau_descents`` raises InvalidTableau on them, so untrusted rows
+never reach a lookup that fails.  Each has an ``_unchecked`` core, which
+checks nothing, for a caller that built the tableau or checked it already.
 """
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, compress, count
 from operator import ge, index, lt
 from typing import Sequence
 
@@ -27,7 +32,7 @@ def shape(t: Sequence[Sequence[int]]) -> Shape:
 
 
 def size(t: Sequence[Sequence[int]]) -> int:
-    return sum(len(row) for row in t)
+    return sum(map(len, t))
 
 
 def conjugate(s: Sequence[int]) -> Shape:
@@ -57,7 +62,10 @@ def validate(t: Sequence[Sequence[int]]) -> bool:
     rows and columns are compared.  An entry that is not an integer, such
     as None, "a" or 2.0, is a violation too; a bool counts as 0 or 1.
     """
-    rows = [list(row) for row in t]
+    try:
+        rows = [list(row) for row in t]
+    except TypeError:  # t or one of its rows is not iterable
+        return False
     lengths = [len(row) for row in rows]
     if not all(lengths) or not all(map(ge, lengths, lengths[1:])):
         return False
@@ -75,7 +83,10 @@ def validate(t: Sequence[Sequence[int]]) -> bool:
 def check_tableau(t: Sequence[Sequence[int]]) -> Tableau:
     """t as a tableau; raises InvalidTableau unless it is a standard Young
     tableau.  This is the one place that refusal is raised."""
-    tab = as_tableau(t)
+    try:
+        tab = as_tableau(t)
+    except TypeError:  # t or one of its rows is not iterable
+        raise InvalidTableau(f"not a standard Young tableau: {t!r}") from None
     if not validate(tab):
         raise InvalidTableau(f"not a standard Young tableau: {tab}")
     return tab
@@ -99,40 +110,72 @@ def transpose(t: Sequence[Sequence[int]]) -> Tableau:
     return tuple(map(tuple, columns))
 
 
-def row_of_entry(t: Sequence[Sequence[int]]) -> dict[int, int]:
-    """Map each entry to its 1-based row index."""
-    return {v: r for r, row in enumerate(t, start=1) for v in row}
-
-
 def tableau_descents(t: Sequence[Sequence[int]]) -> set[int]:
     """
-    Entries i such that i+1 lies in a strictly lower row.
+    Entries i such that i+1 lies in a strictly lower row.  Raises
+    InvalidTableau unless t is a standard Young tableau.
 
     >>> sorted(tableau_descents(((1, 2, 5, 9), (3, 4, 8), (6, 7))))
     [2, 5]
     """
-    row = row_of_entry(t)
-    return {i for i in range(1, size(t)) if row[i + 1] > row[i]}
+    return tableau_descents_unchecked(check_tableau(t))
+
+
+def tableau_descents_unchecked(t: Sequence[Sequence[int]]) -> set[int]:
+    """tableau_descents of a tableau the caller built or checked.  Nothing
+    is checked: on rows that are not a standard tableau the answer means
+    nothing, or the lookup fails."""
+    row = [0] * (size(t) + 1)  # row[v]: the row of entry v
+    for r, entries in enumerate(t):
+        for v in entries:
+            row[v] = r
+    return set(compress(count(1), map(lt, row[1:], row[2:])))
 
 
 def is_layered_tableau(t: Sequence[Sequence[int]]) -> bool:
     """
-    True iff every entry i+1 sits either in the row directly below i's row
-    or in the top row.  Vacuously true on 0 or 1 boxes.
+    True iff t is a standard Young tableau in which every entry i+1 sits
+    either in the row directly below i's row or in the top row.  Vacuously
+    true on 0 or 1 boxes; False on anything validate rejects.
     """
-    row = row_of_entry(t)
-    return all(
-        row[i + 1] == row[i] + 1 or row[i + 1] == 1 for i in range(1, size(t))
-    )
+    return validate(t) and is_layered_tableau_unchecked(t)
+
+
+def is_layered_tableau_unchecked(t: Sequence[Sequence[int]]) -> bool:
+    """is_layered_tableau of a tableau the caller built or checked: every
+    entry v below the top row has v-1 in the row directly above.  Both rows
+    increase, so one pass over the row above finds each v-1 in turn."""
+    for above, row in zip(t, t[1:]):
+        rest = iter(above)
+        for v in row:
+            if v - 1 not in rest:
+                return False
+    return True
 
 
 def satisfies_transposed_layer(t: Sequence[Sequence[int]]) -> bool:
     """
-    True iff every entry i+1 sits either in the first column or in the
-    column immediately right of i's column: the layered condition on the
-    transpose.
+    True iff t is a standard Young tableau in which every entry i+1 sits
+    either in the first column or in the column immediately right of i's
+    column: the layered condition on the transpose.  False on anything
+    validate rejects.
     """
-    return is_layered_tableau(transpose(t))
+    return validate(t) and satisfies_transposed_layer_unchecked(t)
+
+
+def satisfies_transposed_layer_unchecked(t: Sequence[Sequence[int]]) -> bool:
+    """satisfies_transposed_layer of a tableau the caller built or checked,
+    read from each entry's column; entry 1 is in the first column."""
+    column = [0] * (size(t) + 1)  # column[v]: the column of entry v
+    for row in t:
+        for c, v in enumerate(row):
+            column[v] = c
+    left = 0
+    for c in column[2:]:
+        if c and c != left + 1:
+            return False
+        left = c
+    return True
 
 
 def first_column(t: Sequence[Sequence[int]]) -> tuple[int, ...]:

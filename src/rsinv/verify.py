@@ -43,6 +43,7 @@ from .permutations import (
     is_involution,
     is_layered,
     jog_lengths,
+    jog_lengths_from_inverse,
     jogs,
     layers,
     longest_decreasing,
@@ -52,9 +53,10 @@ from .permutations import (
 from .tableaux import (
     first_column,
     is_layered_tableau,
-    satisfies_transposed_layer,
+    is_layered_tableau_unchecked,
+    satisfies_transposed_layer_unchecked,
     shape,
-    tableau_descents,
+    tableau_descents_unchecked,
     transpose,
 )
 
@@ -197,16 +199,6 @@ def _distinct_family(
     return len(members) == len(set(members)) == count and all(map(valid, members))
 
 
-def _tight_both_ways(p) -> bool:
-    """p and its inverse are both GFK-tight, by the oracle."""
-    return greene.oracle_is_gfk_tight(p) and greene.oracle_is_gfk_tight(inverse(p))
-
-
-def _dually_tight_both_ways(p) -> bool:
-    """p and its inverse are both dually GFK-tight, by the oracle."""
-    return greene.oracle_is_dually_gfk_tight(p) and greene.oracle_is_dually_gfk_tight(inverse(p))
-
-
 # ---------------------------------------- predicates longer than one expression
 
 
@@ -228,13 +220,13 @@ def _profile_monotone(p) -> bool:
 
 
 def _jog_lower_bound(p) -> bool:
-    inc = greene.k_increasing_profile(p)
-    return all(map(le, accumulate(jog_lengths(p)), inc[1:]))
+    inc, inv = greene._profile_and_inverse(p)
+    return all(map(le, accumulate(jog_lengths_from_inverse(inv)), inc[1:]))
 
 
 def _layered_tableau_sets(n: int) -> bool:
     from_perms = {tableau_of_involution(w) for w in enumeration.layered_permutations(n)}
-    from_filter = {t for t in enumeration.standard_tableaux(n) if is_layered_tableau(t)}
+    from_filter = {t for t in enumeration.standard_tableaux(n) if is_layered_tableau_unchecked(t)}
     return (
         from_perms == from_filter == set(enumeration.layered_tableaux(n))
         and len(from_perms) == 2 ** (n - 1)
@@ -250,11 +242,11 @@ def _ascent_flip(p) -> bool:
 def _general_equivalence(p) -> bool:
     p_tab, q_tab = rsk(p)
     layered_form = (
-        is_layered_tableau(p_tab) and is_layered_tableau(q_tab)
-    ) == _dually_tight_both_ways(p)
+        is_layered_tableau_unchecked(p_tab) and is_layered_tableau_unchecked(q_tab)
+    ) == greene.oracle_is_dually_gfk_tight_both_ways(p)
     transposed_form = (
-        satisfies_transposed_layer(p_tab) and satisfies_transposed_layer(q_tab)
-    ) == _tight_both_ways(p)
+        satisfies_transposed_layer_unchecked(p_tab) and satisfies_transposed_layer_unchecked(q_tab)
+    ) == greene.oracle_is_gfk_tight_both_ways(p)
     return layered_form and transposed_form
 
 
@@ -266,7 +258,7 @@ _FAMILY_COUNTS: dict[str, Callable[[int], bool]] = {
     "layered tableaux": lambda n: _distinct_family(
         enumeration.layered_tableaux(n),
         2 ** (n - 1),
-        lambda t: tableaux.validate(t) and is_layered_tableau(t),
+        is_layered_tableau,
     ),
     "involutions": lambda n: _distinct_family(
         enumeration.involutions(n), enumeration.count_involutions(n), is_involution
@@ -294,7 +286,7 @@ def brute_count_general(n: int) -> int:
     """
     if n > BRUTE_COUNT_CAP:
         raise InstanceTooLarge(f"factorial scan capped at n <= {BRUTE_COUNT_CAP}, got {n}")
-    return sum(1 for p in all_permutations(n) if _dually_tight_both_ways(p))
+    return sum(1 for p in all_permutations(n) if greene.oracle_is_dually_gfk_tight_both_ways(p))
 
 
 # ------------------------------------------------------------------ suites
@@ -318,7 +310,7 @@ SUITES: dict[str, list[Check]] = {
             "descent-transport",
             PERMUTATIONS,
             7,
-            lambda p: descent_set(p) == tableau_descents(rsk(p)[1]),
+            lambda p: descent_set(p) == tableau_descents_unchecked(rsk(p)[1]),
         ),
         # applying the tableau-transpose map twice is the identity
         Check("f-twice", INVOLUTIONS, 8, lambda p: f_involution(f_involution(p)) == p),
@@ -351,7 +343,7 @@ SUITES: dict[str, list[Check]] = {
             "tight-vs-transposed-layer",
             INVOLUTIONS,
             8,
-            lambda p: satisfies_transposed_layer(tableau_of_involution(p))
+            lambda p: satisfies_transposed_layer_unchecked(tableau_of_involution(p))
             == greene.oracle_is_gfk_tight(p)
             == is_gfk_tight(p),
         ),
@@ -378,9 +370,9 @@ SUITES: dict[str, list[Check]] = {
             "shape-jog-multisets",
             PERMUTATIONS,
             7,
-            lambda p: jog_lengths(p) == jog_lengths(inverse(p))
+            lambda p: jog_lengths(p) == jog_lengths_from_inverse(p)
             == sorted(shape(rsk(p)[0]), reverse=True),
-            where=_tight_both_ways,
+            where=greene.oracle_is_gfk_tight_both_ways,
         ),
         # the jog-reversal construction is f on GFK-tight involutions
         Check(
@@ -430,7 +422,9 @@ SUITES: dict[str, list[Check]] = {
             _sizes(enumeration.count_A),
             7,
             lambda n: _distinct_family(
-                enumeration.generalized_layered(n), enumeration.count_A(n), _dually_tight_both_ways
+                enumeration.generalized_layered(n),
+                enumeration.count_A(n),
+                greene.oracle_is_dually_gfk_tight_both_ways,
             ),
         ),
         # compositions counted partition by partition total 2^(n-1)

@@ -9,14 +9,16 @@ from rsinv.enumeration import layered_from_composition
 from rsinv.errors import InstanceTooLarge, InvalidPermutation
 from rsinv.greene import (
     _cached_profile,
-    _canonical,
+    _orbit_key,
     _subset_profile,
     k_decreasing_profile,
     k_increasing_profile,
     longest_k_decreasing,
     longest_k_increasing,
     oracle_is_dually_gfk_tight,
+    oracle_is_dually_gfk_tight_both_ways,
     oracle_is_gfk_tight,
+    oracle_is_gfk_tight_both_ways,
 )
 from rsinv.insertion import is_dually_gfk_tight, is_gfk_tight
 from rsinv.permutations import (
@@ -25,6 +27,8 @@ from rsinv.permutations import (
     decreasing,
     identity,
     inverse,
+    jog_lengths,
+    jog_lengths_from_inverse,
     longest_decreasing,
     prefix_lds_lengths,
     record_breakers,
@@ -82,15 +86,34 @@ def test_oracle_cap(monkeypatch):
     assert brute_count_general(4) == 16
 
 
+#: every entry point to the oracle, each a function of the word alone
+ORACLE_CALLS = (
+    k_increasing_profile,
+    k_decreasing_profile,
+    lambda p: longest_k_increasing(p, 1),
+    lambda p: longest_k_decreasing(p, 1),
+    oracle_is_gfk_tight,
+    oracle_is_dually_gfk_tight,
+    oracle_is_gfk_tight_both_ways,
+    oracle_is_dually_gfk_tight_both_ways,
+    verify._jog_lower_bound,
+)
+
+
 def test_oracle_cap_is_checked_on_cache_hits(monkeypatch):
     p = (2, 4, 1, 5, 3)
     assert k_increasing_profile(p) == (0, 3, 5, 5, 5, 5)
     assert k_increasing_profile(p) == (0, 3, 5, 5, 5, 5)  # now a cache hit
+    for call in ORACLE_CALLS:
+        call(p)  # every orbit each call looks up is now cached
     monkeypatch.setattr(greene, "ORACLE_CAP", 4)
-    with pytest.raises(InstanceTooLarge):
-        k_increasing_profile(p)
-    with pytest.raises(InstanceTooLarge):
-        oracle_is_gfk_tight(p)
+    for call in ORACLE_CALLS:
+        with pytest.raises(InstanceTooLarge):
+            call(p)
+    monkeypatch.undo()
+    for call in ORACLE_CALLS:
+        with pytest.raises(InstanceTooLarge):
+            call(identity(17))
 
 
 def reverse_complement(p):
@@ -148,7 +171,8 @@ def test_equal_profiles_are_one_tuple():
     # 2134 and 1324 lie in different orbits, both of shape (3, 1)
     _cached_profile.cache_clear()
     first = k_increasing_profile((2, 1, 3, 4))
-    assert _canonical((2, 1, 3, 4)) != _canonical((1, 3, 2, 4))
+    p, q = (2, 1, 3, 4), (1, 3, 2, 4)
+    assert _orbit_key(p, inverse(p)) != _orbit_key(q, inverse(q))
     assert k_increasing_profile((1, 3, 2, 4)) is first
 
 
@@ -209,8 +233,56 @@ def test_no_environment_reads_and_no_oracle_in_enumeration():
 
 def test_oracle_refuses_a_non_permutation():
     for word in ((0, 1), (-1, 1), (1, 1), (3, 1), (5, 3, 9), (None, 1), ("a", 1), (2.0, 1.0)):
-        with pytest.raises(InvalidPermutation):
-            k_increasing_profile(word)
+        for call in ORACLE_CALLS:
+            with pytest.raises(InvalidPermutation):
+                call(word)
+
+
+def test_one_inverse_gives_the_orbit_key_the_profile_and_the_jogs():
+    # the key is exactly the least of the four images, and the inverse the
+    # helper returns gives jog_lengths(p); the profile is checked against
+    # the uncached programme at n = 12-16, and through the key at n <= 7
+    for n in range(9):
+        for p in all_permutations(n):
+            q = inverse(p)
+            rc = reverse_complement(p)
+            assert _orbit_key(p, q) == min(p, q, rc, inverse(rc)), p
+            profile, inv = greene._profile_and_inverse(p)
+            assert inv == q and profile == k_increasing_profile(p), p
+            assert jog_lengths_from_inverse(inv) == jog_lengths(p), p
+    rng = random.Random(12)
+    for n in range(12, 17):
+        for _ in range(3):
+            p = tuple(rng.sample(range(1, n + 1), n))
+            profile, inv = greene._profile_and_inverse(p)
+            assert profile == _subset_profile(p) and inv == inverse(p), p
+            assert jog_lengths_from_inverse(inv) == jog_lengths(p), p
+
+
+def test_both_ways_predicates_equal_their_two_call_forms():
+    # p and p^-1 share a profile, as do rev p and rev(p^-1); each
+    # predicate must still read the jogs of both words.  Counting the
+    # words where only one of the pair is tight shows that this happens.
+    mixed = mixed_dual = 0
+    for n in range(9):
+        for p in all_permutations(n):
+            q = inverse(p)
+            tight, tight_q = oracle_is_gfk_tight(p), oracle_is_gfk_tight(q)
+            dual, dual_q = oracle_is_dually_gfk_tight(p), oracle_is_dually_gfk_tight(q)
+            assert oracle_is_gfk_tight_both_ways(p) == (tight and tight_q), p
+            assert oracle_is_dually_gfk_tight_both_ways(p) == (dual and dual_q), p
+            mixed += tight != tight_q
+            mixed_dual += dual != dual_q
+    assert mixed and mixed_dual
+    rng = random.Random(16)
+    words = [tuple(rng.sample(range(1, n + 1), n)) for n in range(12, 17) for _ in range(3)]
+    words += [decreasing(16), layered_from_composition((3, 1, 4, 1, 5, 2))]
+    for p in words:
+        q = inverse(p)
+        pair = oracle_is_gfk_tight(p) and oracle_is_gfk_tight(q)
+        dual = oracle_is_dually_gfk_tight(p) and oracle_is_dually_gfk_tight(q)
+        assert oracle_is_gfk_tight_both_ways(p) == pair, p
+        assert oracle_is_dually_gfk_tight_both_ways(p) == dual, p
 
 
 def test_is_gfk_tight_examples():

@@ -10,9 +10,12 @@ from rsinv.tableaux import (
     conjugate,
     first_column,
     is_layered_tableau,
+    is_layered_tableau_unchecked,
     satisfies_transposed_layer,
+    satisfies_transposed_layer_unchecked,
     shape,
     tableau_descents,
+    tableau_descents_unchecked,
     tableau_from_json,
     tableau_to_json,
     transpose,
@@ -43,6 +46,9 @@ def test_validate():
     for t in (((1, None),), ((1, "a"),), ((1.0, 2.0),), ((1,), (2.0,)), (([1],),)):
         assert not validate(t), t
     assert validate(((True, 2),))
+    # so is a row, or a tableau, that is not iterable
+    for t in ((None,), ((1,), 2), 5, None):
+        assert not validate(t), t
 
 
 def test_inverse_rsk_refuses_float_entries():
@@ -171,6 +177,67 @@ def test_satisfies_transposed_layer():
     assert not satisfies_transposed_layer(LAYERED)
     assert satisfies_transposed_layer(((1,), (2,), (3,)))
     assert satisfies_transposed_layer(())
+
+
+#: rows that validate rejects: entries not 1..n, a column or row that does
+#: not increase, rows that grow in length, entries that are not integers
+NOT_TABLEAUX = (
+    ((1, 2), (2,)),
+    ((1, 3), (2, 5)),
+    ((2, 3), (4, 5)),
+    ((2, 1),),
+    ((1, 2), (3, 1)),
+    ((1,), (2, 3)),
+    ((1, 2), (3,), (4, 5)),
+    ((1, None),),
+    ((None, 1),),
+    ((1.0, 2.0),),
+    ((1, 2), (3.0,)),
+    ((1, 2), ()),
+    (None,),
+)
+
+
+def test_tableau_predicates_refuse_what_validate_rejects():
+    for t in NOT_TABLEAUX:
+        assert not validate(t), t
+        assert not is_layered_tableau(t), t
+        assert not satisfies_transposed_layer(t), t
+        with pytest.raises(InvalidTableau):
+            tableau_descents(t)
+    # a list of lists that is a tableau is read like the tuple form
+    assert is_layered_tableau([[1, 3], [2]]) and satisfies_transposed_layer([[1, 2], [3]])
+    assert tableau_descents([[1, 3], [2]]) == {1}
+
+
+def _row_by_entry(t):
+    return {v: r for r, row in enumerate(t, start=1) for v in row}
+
+
+def _descents_by_dict(t):
+    row = _row_by_entry(t)
+    return {i for i in range(1, sum(map(len, t))) if row[i + 1] > row[i]}
+
+
+def _layered_by_dict(t):
+    row = _row_by_entry(t)
+    return all(
+        row[i + 1] == row[i] + 1 or row[i + 1] == 1 for i in range(1, sum(map(len, t)))
+    )
+
+
+def test_unchecked_cores_agree_with_the_dict_definitions():
+    # the row dict and the transposed dict the predicates were first
+    # written with, on every standard tableau with n <= 8
+    tabs = [t for n in range(9) for t in standard_tableaux(n)]
+    assert sum(map(_layered_by_dict, tabs)) == sum(2 ** (n - 1) for n in range(1, 9)) + 1
+    for t in tabs:
+        layered = _layered_by_dict(t)
+        transposed = _layered_by_dict(transpose(t))
+        assert is_layered_tableau_unchecked(t) == is_layered_tableau(t) == layered, t
+        assert satisfies_transposed_layer_unchecked(t) == transposed, t
+        assert satisfies_transposed_layer(t) == transposed, t
+        assert tableau_descents_unchecked(t) == tableau_descents(t) == _descents_by_dict(t), t
 
 
 def test_transposed_layer_is_layered_of_transpose():
