@@ -51,7 +51,7 @@ from .permutations import (
 )
 from .tableaux import (
     Tableau,
-    satisfies_transposed_layer_unchecked,
+    _satisfies_transposed_layer,
     tableau_from_json,
     tableau_to_json,
 )
@@ -65,7 +65,7 @@ PROPS: dict[str, Callable[[Perm], bool]] = {
     "involution": is_involution,
     "gfk-tight": is_gfk_tight,
     "dually-gfk-tight": is_dually_gfk_tight,
-    "transposed-layer": lambda p: satisfies_transposed_layer_unchecked(tableau_of_involution(p)),
+    "transposed-layer": lambda p: _satisfies_transposed_layer(tableau_of_involution(p)),
 }
 
 #: enumerate --family name -> (generator of size n, one-line format)

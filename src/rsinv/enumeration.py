@@ -15,7 +15,7 @@ from math import comb, factorial
 from typing import Callable, Iterator, Sequence
 
 from .errors import InstanceTooLarge
-from .insertion import inverse_rsk_unchecked
+from .insertion import _inverse_rsk
 from .permutations import Perm
 from .tableaux import Tableau, as_tableau, conjugate
 
@@ -350,7 +350,7 @@ def generalized_layered(n: int) -> Iterator[Perm]:
         for p_parts in _rearrangements(layer_lengths):
             p_tab = layered_tableau(p_parts)
             for q_parts in _rearrangements(layer_lengths):
-                yield inverse_rsk_unchecked(p_tab, layered_tableau(q_parts))
+                yield _inverse_rsk(p_tab, layered_tableau(q_parts))
 
 
 def verify_bounds(n: int) -> bool:

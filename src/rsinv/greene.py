@@ -57,7 +57,7 @@ from operator import eq
 from typing import Sequence
 
 from .errors import InstanceTooLarge
-from .permutations import inverse, jog_lengths_from_inverse, reverse
+from .permutations import _jog_lengths_from_inverse, inverse, reverse
 
 #: largest n the subset oracle will accept
 ORACLE_CAP = 16
@@ -203,7 +203,7 @@ def oracle_is_gfk_tight(p: Sequence[int]) -> bool:
     Beyond that k both sides equal n, so the quantifier stops there.
     """
     profile, inv = _profile_and_inverse(p)
-    return _tight_against(profile, jog_lengths_from_inverse(inv))
+    return _tight_against(profile, _jog_lengths_from_inverse(inv))
 
 
 def oracle_is_dually_gfk_tight(p: Sequence[int]) -> bool:
@@ -218,8 +218,8 @@ def oracle_is_gfk_tight_both_ways(p: Sequence[int]) -> bool:
     """oracle_is_gfk_tight of p and of p^-1, from one profile lookup: the
     jogs of p are read from p^-1, and those of p^-1 from p."""
     profile, inv = _profile_and_inverse(p)
-    return _tight_against(profile, jog_lengths_from_inverse(inv)) and _tight_against(
-        profile, jog_lengths_from_inverse(p)
+    return _tight_against(profile, _jog_lengths_from_inverse(inv)) and _tight_against(
+        profile, _jog_lengths_from_inverse(p)
     )
 
 

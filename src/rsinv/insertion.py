@@ -90,16 +90,6 @@ def _bump(rows: list[list[int]], x: int) -> int:
     return r
 
 
-def _row_index(t: Tableau, n: int) -> list[int]:
-    # row_of[v] is the 0-based row of entry v of the standard tableau t on
-    # n boxes.
-    row_of = [0] * (n + 1)
-    for r, row in enumerate(t):
-        for v in row:
-            row_of[v] = r
-    return row_of
-
-
 def row_insert(t: Sequence[Sequence[int]], x: int) -> tuple[Tableau, int]:
     """
     Insert x into a partial standard tableau (increasing rows and columns,
@@ -162,14 +152,14 @@ def inverse_rsk(pair: tuple[Sequence[Sequence[int]], Sequence[Sequence[int]]]) -
         raise ShapeMismatch(
             f"shapes differ: {tableaux.shape(p_tab)} vs {tableaux.shape(q_tab)}"
         )
-    return inverse_rsk_unchecked(p_tab, q_tab)
+    return _inverse_rsk(p_tab, q_tab)
 
 
-def inverse_rsk_unchecked(p_tab: Tableau, q_tab: Tableau) -> Perm:
-    """inverse_rsk of a pair the caller built as two standard tableaux of
-    one shape, without checking that again."""
+def _inverse_rsk(p_tab: Tableau, q_tab: Tableau) -> Perm:
+    # inverse_rsk of a pair the caller built as two standard tableaux of one
+    # shape, without checking that again.
     n = tableaux.size(p_tab)
-    row_of = _row_index(q_tab, n)
+    row_of = tableaux._row_index(q_tab)
     rows = [list(row) for row in p_tab]
     out = [0] * n
     for k in range(n, 0, -1):
@@ -209,7 +199,7 @@ def _peel(s: Tableau) -> Perm:
     # insertion run backwards (module docstring).
     n = tableaux.size(s)
     rows = [list(row) for row in s]
-    row_of = _row_index(s, n)
+    row_of = tableaux._row_index(s)
     out = [0] * n
     for j in range(n, 0, -1):
         if out[j - 1]:
@@ -255,7 +245,7 @@ def _by_evacuation(p: Sequence[int], t: Tableau) -> Perm:
     # the pair is not checked again.
     n = len(p)
     sharp = tuple(n + 1 - x for x in reversed(p))
-    return reverse(inverse_rsk_unchecked(t, _involution_tableau(sharp)))
+    return reverse(_inverse_rsk(t, _involution_tableau(sharp)))
 
 
 def f_involution(p: Sequence[int]) -> Perm:

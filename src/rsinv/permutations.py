@@ -8,13 +8,12 @@ or (None, 1), the predicates answer False, ``inverse``, ``jogs``,
 ``jog_lengths`` and ``reverse_jogs`` raise InvalidPermutation, and
 ``layers`` NotLayered.
 ``reverse``, ``descent_set``, ``prefix_lds_lengths``, ``longest_decreasing``
-and ``record_breakers`` take any integer word; ``jog_lengths_from_inverse``
-trusts its caller to pass the inverse of a permutation.
+and ``record_breakers`` take any integer word.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from functools import lru_cache
+from functools import cache
 from itertools import compress, count, permutations as _permutations
 from math import comb, inf
 from operator import gt, index, sub
@@ -256,17 +255,12 @@ def jog_lengths(p: Sequence[int]) -> list[int]:
     >>> jog_lengths((3, 6, 1, 4, 7, 2, 5))
     [3, 2, 2]
     """
-    return jog_lengths_from_inverse(inverse(p))
+    return _jog_lengths_from_inverse(inverse(p))
 
 
-def jog_lengths_from_inverse(pos: Sequence[int]) -> list[int]:
-    """
-    jog_lengths of the permutation whose inverse is pos, read from pos
-    alone: for a caller that holds p^-1 already.  pos is not checked.
-
-    >>> jog_lengths_from_inverse((2, 3, 1)) == jog_lengths((3, 1, 2)) == [2, 1]
-    True
-    """
+def _jog_lengths_from_inverse(pos: Sequence[int]) -> list[int]:
+    # jog_lengths of the permutation whose inverse is pos, read from pos
+    # alone, for a caller that holds p^-1 already; pos is not checked.
     ends = _jog_ends(pos)
     return sorted(map(sub, ends, [0] + ends), reverse=True)
 
@@ -375,15 +369,16 @@ def pattern_of(values: Sequence[int]) -> Perm:
     return tuple(rank[v] for v in values)
 
 
-@lru_cache(maxsize=64)
+@cache
 def _pattern_bounds(pattern: Perm) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # The value matched to place t must lie strictly between the values
     # matched to below[t] and above[t], the earlier places whose pattern
     # values are next below and next above q[t].  Places k and k+1 hold
     # sentinels for "none".  The bounds are strict, so a match never
     # repeats a value: a repeated value has no order type to match.  The
-    # tables depend on the pattern alone, so each is built once; the key is
-    # a validated pattern of length at most MAX_PATTERN_LENGTH.
+    # tables depend on the pattern alone, so each is built once.  The keys
+    # are validated patterns of length 1 to MAX_PATTERN_LENGTH, at most
+    # 1! + ... + 6! = 873 of them, so the cache needs no bound.
     k = len(pattern)
     place = [0] * (k + 1)
     for t, v in enumerate(pattern):

@@ -7,8 +7,10 @@ is valid.
 
 The predicates on tableaux answer False on rows that ``validate`` rejects,
 and ``tableau_descents`` raises InvalidTableau on them, so untrusted rows
-never reach a lookup that fails.  Each has an ``_unchecked`` core, which
-checks nothing, for a caller that built the tableau or checked it already.
+never reach a lookup that fails.  Each has a private core, its name with a
+leading underscore, which checks nothing: it is for a caller that built
+the tableau or checked it already, and on other rows its answer means
+nothing.
 """
 from __future__ import annotations
 
@@ -118,17 +120,20 @@ def tableau_descents(t: Sequence[Sequence[int]]) -> set[int]:
     >>> sorted(tableau_descents(((1, 2, 5, 9), (3, 4, 8), (6, 7))))
     [2, 5]
     """
-    return tableau_descents_unchecked(check_tableau(t))
+    return _tableau_descents(check_tableau(t))
 
 
-def tableau_descents_unchecked(t: Sequence[Sequence[int]]) -> set[int]:
-    """tableau_descents of a tableau the caller built or checked.  Nothing
-    is checked: on rows that are not a standard tableau the answer means
-    nothing, or the lookup fails."""
-    row = [0] * (size(t) + 1)  # row[v]: the row of entry v
-    for r, entries in enumerate(t):
-        for v in entries:
-            row[v] = r
+def _row_index(t: Sequence[Sequence[int]]) -> list[int]:
+    # row_of[v] is the 0-based row of entry v of the standard tableau t.
+    row_of = [0] * (size(t) + 1)
+    for r, row in enumerate(t):
+        for v in row:
+            row_of[v] = r
+    return row_of
+
+
+def _tableau_descents(t: Sequence[Sequence[int]]) -> set[int]:
+    row = _row_index(t)
     return set(compress(count(1), map(lt, row[1:], row[2:])))
 
 
@@ -138,13 +143,13 @@ def is_layered_tableau(t: Sequence[Sequence[int]]) -> bool:
     either in the row directly below i's row or in the top row.  Vacuously
     true on 0 or 1 boxes; False on anything validate rejects.
     """
-    return validate(t) and is_layered_tableau_unchecked(t)
+    return validate(t) and _is_layered_tableau(t)
 
 
-def is_layered_tableau_unchecked(t: Sequence[Sequence[int]]) -> bool:
-    """is_layered_tableau of a tableau the caller built or checked: every
-    entry v below the top row has v-1 in the row directly above.  Both rows
-    increase, so one pass over the row above finds each v-1 in turn."""
+def _is_layered_tableau(t: Sequence[Sequence[int]]) -> bool:
+    # Every entry v below the top row has v-1 in the row directly above.
+    # Both rows increase, so one pass over the row above finds each v-1 in
+    # turn.
     for above, row in zip(t, t[1:]):
         rest = iter(above)
         for v in row:
@@ -160,12 +165,11 @@ def satisfies_transposed_layer(t: Sequence[Sequence[int]]) -> bool:
     column: the layered condition on the transpose.  False on anything
     validate rejects.
     """
-    return validate(t) and satisfies_transposed_layer_unchecked(t)
+    return validate(t) and _satisfies_transposed_layer(t)
 
 
-def satisfies_transposed_layer_unchecked(t: Sequence[Sequence[int]]) -> bool:
-    """satisfies_transposed_layer of a tableau the caller built or checked,
-    read from each entry's column; entry 1 is in the first column."""
+def _satisfies_transposed_layer(t: Sequence[Sequence[int]]) -> bool:
+    # Read from each entry's column; entry 1 is in the first column.
     column = [0] * (size(t) + 1)  # column[v]: the column of entry v
     for row in t:
         for c, v in enumerate(row):

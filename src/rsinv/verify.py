@@ -36,6 +36,7 @@ from . import direct, enumeration, greene, tableaux
 from .errors import DomainError, InstanceTooLarge
 from .insertion import f_involution, inverse_rsk, is_gfk_tight, rsk, tableau_of_involution
 from .permutations import (
+    _jog_lengths_from_inverse,
     all_permutations,
     contains_pattern,
     descent_set,
@@ -43,7 +44,6 @@ from .permutations import (
     is_involution,
     is_layered,
     jog_lengths,
-    jog_lengths_from_inverse,
     jogs,
     layers,
     longest_decreasing,
@@ -51,12 +51,12 @@ from .permutations import (
     reverse,
 )
 from .tableaux import (
+    _is_layered_tableau,
+    _satisfies_transposed_layer,
+    _tableau_descents,
     first_column,
     is_layered_tableau,
-    is_layered_tableau_unchecked,
-    satisfies_transposed_layer_unchecked,
     shape,
-    tableau_descents_unchecked,
     transpose,
 )
 
@@ -123,15 +123,15 @@ def _check(
 class Family:
     """The instances of each size n from ``first`` on, and ``count(n)``, the
     number of them (for a family of sizes, the work a check does at n).
-    ``last``, when given, is read at each walk and caps the sizes."""
+    ``last``, when given, caps the sizes."""
 
     members: Callable[[int], Iterable[Any]]
     count: Callable[[int], int]
     first: int = 0
-    last: Callable[[], int] | None = None
+    last: int | None = None
 
     def sizes(self, max_n: int) -> range:
-        top = max_n if self.last is None else min(max_n, self.last())
+        top = max_n if self.last is None else min(max_n, self.last)
         return range(self.first, top + 1)
 
 
@@ -140,9 +140,7 @@ INVOLUTIONS = Family(enumeration.involutions, enumeration.count_involutions)
 LAYERED = Family(enumeration.layered_permutations, enumeration.count_layered, first=1)
 
 
-def _sizes(
-    work: Callable[[int], int], first: int = 1, last: Callable[[], int] | None = None
-) -> Family:
+def _sizes(work: Callable[[int], int], first: int = 1, last: int | None = None) -> Family:
     """The sizes n themselves, each counted as the work a check does at n."""
     return Family(lambda n: (n,), work, first, last)
 
@@ -221,12 +219,12 @@ def _profile_monotone(p) -> bool:
 
 def _jog_lower_bound(p) -> bool:
     inc, inv = greene._profile_and_inverse(p)
-    return all(map(le, accumulate(jog_lengths_from_inverse(inv)), inc[1:]))
+    return all(map(le, accumulate(_jog_lengths_from_inverse(inv)), inc[1:]))
 
 
 def _layered_tableau_sets(n: int) -> bool:
     from_perms = {tableau_of_involution(w) for w in enumeration.layered_permutations(n)}
-    from_filter = {t for t in enumeration.standard_tableaux(n) if is_layered_tableau_unchecked(t)}
+    from_filter = {t for t in enumeration.standard_tableaux(n) if _is_layered_tableau(t)}
     return (
         from_perms == from_filter == set(enumeration.layered_tableaux(n))
         and len(from_perms) == 2 ** (n - 1)
@@ -242,10 +240,10 @@ def _ascent_flip(p) -> bool:
 def _general_equivalence(p) -> bool:
     p_tab, q_tab = rsk(p)
     layered_form = (
-        is_layered_tableau_unchecked(p_tab) and is_layered_tableau_unchecked(q_tab)
+        _is_layered_tableau(p_tab) and _is_layered_tableau(q_tab)
     ) == greene.oracle_is_dually_gfk_tight_both_ways(p)
     transposed_form = (
-        satisfies_transposed_layer_unchecked(p_tab) and satisfies_transposed_layer_unchecked(q_tab)
+        _satisfies_transposed_layer(p_tab) and _satisfies_transposed_layer(q_tab)
     ) == greene.oracle_is_gfk_tight_both_ways(p)
     return layered_form and transposed_form
 
@@ -310,7 +308,7 @@ SUITES: dict[str, list[Check]] = {
             "descent-transport",
             PERMUTATIONS,
             7,
-            lambda p: descent_set(p) == tableau_descents_unchecked(rsk(p)[1]),
+            lambda p: descent_set(p) == _tableau_descents(rsk(p)[1]),
         ),
         # applying the tableau-transpose map twice is the identity
         Check("f-twice", INVOLUTIONS, 8, lambda p: f_involution(f_involution(p)) == p),
@@ -343,7 +341,7 @@ SUITES: dict[str, list[Check]] = {
             "tight-vs-transposed-layer",
             INVOLUTIONS,
             8,
-            lambda p: satisfies_transposed_layer_unchecked(tableau_of_involution(p))
+            lambda p: _satisfies_transposed_layer(tableau_of_involution(p))
             == greene.oracle_is_gfk_tight(p)
             == is_gfk_tight(p),
         ),
@@ -370,7 +368,7 @@ SUITES: dict[str, list[Check]] = {
             "shape-jog-multisets",
             PERMUTATIONS,
             7,
-            lambda p: jog_lengths(p) == jog_lengths_from_inverse(p)
+            lambda p: jog_lengths(p) == _jog_lengths_from_inverse(p)
             == sorted(shape(rsk(p)[0]), reverse=True),
             where=greene.oracle_is_gfk_tight_both_ways,
         ),
@@ -412,7 +410,7 @@ SUITES: dict[str, list[Check]] = {
         # count_A, the partition sum and the factorial scan agree, up to the scan's cap
         Check(
             "formula-vs-scan",
-            _sizes(factorial, last=lambda: BRUTE_COUNT_CAP),
+            _sizes(factorial, last=BRUTE_COUNT_CAP),
             7,
             lambda n: enumeration.count_A(n) == count_A_by_partitions(n) == brute_count_general(n),
         ),

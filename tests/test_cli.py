@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -135,6 +136,17 @@ def test_f_method_all_inserts_each_involution_once(capsys, monkeypatch):
         assert bumped == inserted, q
 
 
+def test_f_method_all_reports_a_disagreement(capsys, monkeypatch):
+    # 3 2 1 is a GFK-tight, 123-avoiding involution whose reverse is one
+    # too, so all four constructions apply; one is made to answer wrongly
+    monkeypatch.setitem(cli.F_METHODS["shortcut"], "shortcut", lambda p: p)
+    assert run(["f", "3 2 1", "--method", "all"]) == 1
+    assert out_of(capsys) == (
+        "direct-123: 1 2 3\ndirect-gfk: 1 2 3\nrsk: 1 2 3\nshortcut: 3 2 1\n",
+        "error: methods disagree\n",
+    )
+
+
 def test_f_rejects_non_involution(capsys):
     assert run(["f", "231"]) == 2
     _, err = out_of(capsys)
@@ -185,6 +197,10 @@ def test_oracle_cap_env(monkeypatch, capsys):
     ]
     monkeypatch.setattr(greene, "ORACLE_CAP", 4)
     monkeypatch.setattr(verify, "BRUTE_COUNT_CAP", 4)
+    # the row's cap is the scan's, read when the row is built
+    scan, *rest = verify.SUITES["counting"]
+    capped = replace(scan, family=replace(scan.family, last=verify.BRUTE_COUNT_CAP))
+    monkeypatch.setitem(verify.SUITES, "counting", [capped, *rest])
     assert run(["verify", "--suite", "counting", "--max-n", "6"]) == 1
     out, _ = out_of(capsys)
     lines = out.splitlines()

@@ -69,6 +69,7 @@ def test_comp_count():
 
 
 def test_count_A():
+    assert count_A(-1) == 0
     assert count_A(1) == 1
     assert count_A(3) == 6
     assert count_A(4) == 16

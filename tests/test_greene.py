@@ -22,13 +22,13 @@ from rsinv.greene import (
 )
 from rsinv.insertion import is_dually_gfk_tight, is_gfk_tight
 from rsinv.permutations import (
+    _jog_lengths_from_inverse,
     all_permutations,
     contains_pattern,
     decreasing,
     identity,
     inverse,
     jog_lengths,
-    jog_lengths_from_inverse,
     longest_decreasing,
     prefix_lds_lengths,
     record_breakers,
@@ -249,14 +249,14 @@ def test_one_inverse_gives_the_orbit_key_the_profile_and_the_jogs():
             assert _orbit_key(p, q) == min(p, q, rc, inverse(rc)), p
             profile, inv = greene._profile_and_inverse(p)
             assert inv == q and profile == k_increasing_profile(p), p
-            assert jog_lengths_from_inverse(inv) == jog_lengths(p), p
+            assert _jog_lengths_from_inverse(inv) == jog_lengths(p), p
     rng = random.Random(12)
     for n in range(12, 17):
         for _ in range(3):
             p = tuple(rng.sample(range(1, n + 1), n))
             profile, inv = greene._profile_and_inverse(p)
             assert profile == _subset_profile(p) and inv == inverse(p), p
-            assert jog_lengths_from_inverse(inv) == jog_lengths(p), p
+            assert _jog_lengths_from_inverse(inv) == jog_lengths(p), p
 
 
 def test_both_ways_predicates_equal_their_two_call_forms():

@@ -1,21 +1,23 @@
+import inspect
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from rsinv import insertion, permutations, tableaux
 from rsinv.enumeration import layered_tableaux, standard_tableaux
-from rsinv.errors import InvalidTableau
+from rsinv.errors import DomainError, InvalidTableau
 from rsinv.insertion import inverse_rsk, rsk, tableau_of_involution
 from rsinv.tableaux import (
+    _is_layered_tableau,
+    _satisfies_transposed_layer,
+    _tableau_descents,
     conjugate,
     first_column,
     is_layered_tableau,
-    is_layered_tableau_unchecked,
     satisfies_transposed_layer,
-    satisfies_transposed_layer_unchecked,
     shape,
     tableau_descents,
-    tableau_descents_unchecked,
     tableau_from_json,
     tableau_to_json,
     transpose,
@@ -210,6 +212,26 @@ def test_tableau_predicates_refuse_what_validate_rejects():
     assert tableau_descents([[1, 3], [2]]) == {1}
 
 
+def test_no_public_function_trusts_its_input():
+    # What the private cores trust: rows with a gap, a repeated entry, and a
+    # pair of one-box tableaux on different entries.  Every public function
+    # of these modules refuses them (a DomainError, or a TypeError or
+    # AttributeError for an argument of the wrong kind), or answers without
+    # a lookup that fails, and none answers True.
+    for module in (tableaux, insertion, permutations):
+        for name, function in vars(module).items():
+            if name.startswith("_") or getattr(function, "__module__", "") != module.__name__:
+                continue
+            for rows in (((1, 5),), ((1, 2), (2,)), (((1,),), ((2,),))):
+                try:
+                    answer = function(rows)
+                    if inspect.isgenerator(answer):
+                        answer = list(answer)
+                except (DomainError, TypeError, AttributeError):
+                    continue
+                assert answer is not True, (name, rows)
+
+
 def _row_by_entry(t):
     return {v: r for r, row in enumerate(t, start=1) for v in row}
 
@@ -234,10 +256,10 @@ def test_unchecked_cores_agree_with_the_dict_definitions():
     for t in tabs:
         layered = _layered_by_dict(t)
         transposed = _layered_by_dict(transpose(t))
-        assert is_layered_tableau_unchecked(t) == is_layered_tableau(t) == layered, t
-        assert satisfies_transposed_layer_unchecked(t) == transposed, t
+        assert _is_layered_tableau(t) == is_layered_tableau(t) == layered, t
+        assert _satisfies_transposed_layer(t) == transposed, t
         assert satisfies_transposed_layer(t) == transposed, t
-        assert tableau_descents_unchecked(t) == tableau_descents(t) == _descents_by_dict(t), t
+        assert _tableau_descents(t) == tableau_descents(t) == _descents_by_dict(t), t
 
 
 def test_transposed_layer_is_layered_of_transpose():
