@@ -3,8 +3,8 @@ and counts: of partitions, involutions, layered permutations, and the
 permutations whose insertion and recording tableaux are both layered.
 
 All streams are lazy with documented deterministic orders, and yield
-nothing for a negative size; all counts use exact integer arithmetic in
-polynomial time.  Standard and layered tableaux share one walk, with a
+nothing for a negative size, where every count is 0; all counts use exact
+integer arithmetic in polynomial time.  Standard and layered tableaux share one walk, with a
 placement rule each.  The slow references the counts are checked
 against, the partition sum and the factorial scan with the subset oracle,
 are in ``rsinv.verify``, so nothing here imports the oracle.
@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Sequence
 from .errors import InstanceTooLarge
 from .insertion import _inverse_rsk
 from .permutations import Perm
-from .tableaux import Tableau, as_tableau, conjugate
+from .tableaux import Tableau, as_tableau, conjugate, layered_tableau
 
 Partition = tuple[int, ...]
 Composition = tuple[int, ...]
@@ -160,13 +160,13 @@ def count_A(n: int) -> int:
 
 
 def count_layered(n: int) -> int:
-    """Layered permutations of length n are in bijection with compositions."""
-    return 2 ** (n - 1) if n >= 1 else 1
+    """Layered permutations of length n, one per composition; 0 for n < 0."""
+    return 2 ** (n - 1) if n >= 1 else int(n == 0)
 
 
 def count_involutions(n: int) -> int:
-    """Involution numbers by the recurrence I(n) = I(n-1) + (n-1) I(n-2)."""
-    previous, current = 1, 1
+    """Involution numbers by I(n) = I(n-1) + (n-1) I(n-2); 0 for n < 0."""
+    previous, current = 1, int(n >= 0)
     for m in range(2, n + 1):
         previous, current = current, current + (m - 1) * previous
     return current
@@ -290,26 +290,6 @@ def standard_tableaux(n: int) -> Iterator[Tableau]:
         return r if r <= len(rows) else None
 
     return _grow_tableaux(n, later)
-
-
-def layered_tableau(parts: Sequence[int]) -> Tableau:
-    """
-    The tableau of the layered permutation with these layer lengths: each
-    layer starts on the top row, and each next entry of it goes directly
-    below the previous one.
-
-    >>> layered_tableau((2, 1, 3))
-    ((1, 3, 4), (2, 5), (6,))
-    """
-    rows: list[list[int]] = []
-    entry = 0
-    for width in parts:
-        for r in range(width):
-            entry += 1
-            if r == len(rows):
-                rows.append([])
-            rows[r].append(entry)
-    return as_tableau(rows)
 
 
 def _rearrangements(parts: Sequence[int]) -> Iterator[Composition]:

@@ -1,6 +1,6 @@
 """Row insertion, the Robinson-Schensted correspondence and its inverse,
 the tableau-transpose involution on involutions, and the GFK-tightness
-predicates read off the insertion shape.
+predicates.
 
 ``rsk`` maps a permutation p to the pair (P, Q): P is built by Schensted
 row insertion of p's entries in position order, Q records in which cell
@@ -24,10 +24,9 @@ The bumping loops take nearly all of f's time.  ``_bump`` is the forward
 loop of ``row_insert`` and of the involution insertion, which calls it
 once per 2-cycle.  ``rsk`` runs the same loop inline over (P row, Q row)
 pairs: no entry pays for a call, and the Q row is at hand where the P row
-is appended to.  That made ``rsk`` 1.1-1.2 times faster at n = 500 to
-4000.  ``inverse_rsk`` and the peel each reverse-bump inline, the first
-finding each entry's row through a list.  For T of shape lambda and m
-2-cycles the insertion visits (n(lambda) + m) / 2 rows and the peel
+is appended to.  ``inverse_rsk`` and the peel each reverse-bump inline,
+the first finding each entry's row through a list.  For T of shape lambda
+and m 2-cycles the insertion visits (n(lambda) + m) / 2 rows and the peel
 (n(lambda) - m) / 2, where n(lambda) = sum_i (i-1) lambda_i; the general
 correspondence visits n(lambda) + n and n(lambda).
 
@@ -36,9 +35,7 @@ objects, never a new int: P, T and the peeled or reverse-bumped outputs
 move the input's entries, and Q's step s is p's entry of value s.  A new
 int costs 28 bytes past 256, more than the 8-byte slot that holds it, so
 a caller that keeps many results keeps about 17 bytes an entry of an
-``rsk`` pair instead of 45.  One exception: ``_involution_tableau``'s
-two-entry cache answers a word equal to one inserted just before with
-the tableau built from that word's objects.
+``rsk`` pair instead of 45.
 
 The peel of T^T is quadratic in n for the wide, short T of an involution
 with many fixed points, whose transpose is tall.  Schuetzenberger's
@@ -51,28 +48,36 @@ less, by a rule read off lambda.
 By Greene's theorem the first k rows of P(p) hold as many entries as the
 longest k-increasing subsequence of p, so GFK-tightness (the k longest
 jogs realize that length for every k) is the statement that the jog
-lengths, longest first, are the row lengths of P(p).  These predicates
-answer in polynomial time; ``rsinv.greene`` holds the subset oracle that
-checks them without insertion.
+lengths, longest first, are the row lengths of P(p).  An involution q
+is not inserted, which is quadratic when T is tall.  With w the layered
+permutation whose layers are q's jog lengths c in value order, q is
+compared with f(w), built from L(c) = P(w) and evac(L(c)) = L(c
+reversed), both written down directly.  As f(f(q)) = q, q passes iff
+f(q) = w: by the paper's theorem (f maps the GFK-tight involutions
+one-to-one onto the layered ones, jogs to layers) iff q is GFK-tight.
+Verify's ``tight-vs-transposed-layer`` and ``direct-gfk`` rows check
+that against the insertion-free subset oracle of ``rsinv.greene``.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from functools import lru_cache
-from typing import Sequence
+from itertools import count
+from operator import eq, sub
+from typing import Callable, Sequence
 
 from . import tableaux
 from .errors import DuplicateEntry, ShapeMismatch
 from .permutations import (
     Perm,
     _check_in_value_order,
+    _jog_ends,
     check_involution,
     check_permutation,
     is_involution,
     jog_lengths,
     reverse,
 )
-from .tableaux import Tableau
+from .tableaux import Tableau, layered_tableau
 
 
 def _bump(rows: list[list[int]], x: int) -> int:
@@ -174,11 +179,8 @@ def _inverse_rsk(p_tab: Tableau, q_tab: Tableau) -> Perm:
     return tuple(out)
 
 
-@lru_cache(maxsize=2)
 def _involution_tableau(q: Perm) -> Tableau:
-    # Beissinger's insertion (module docstring).  The cache lets f and a
-    # GFK-tightness test of the same q share one T; it holds two, because
-    # f's evacuation route also inserts q#.
+    # Beissinger's insertion (module docstring).
     rows: list[list[int]] = []
     for j, i in enumerate(q, start=1):
         if i > j:
@@ -233,19 +235,15 @@ def tableau_of_involution(p: Sequence[int]) -> Tableau:
     return _involution_tableau(check_involution(p))
 
 
-def _by_transpose(t: Tableau) -> Perm:
-    # f by its definition: the involution whose tableau is T^T.  T came
-    # from the insertion, so T^T is standard and is not checked again.
+def _transposed(t: Tableau, evacuated: Callable[[], Tableau]) -> Perm:
+    # The involution whose tableau is t^T, by f_involution's two routes;
+    # evacuated() builds evac(t) for the one that reads it.  Nothing is checked.
+    lam = tableaux.shape(t)
+    n_lam = sum(i * length for i, length in enumerate(lam))
+    n_lam_transposed = sum(length * (length - 1) // 2 for length in lam)
+    if 3 * n_lam + 10 * sum(lam) < n_lam_transposed:
+        return reverse(_inverse_rsk(t, evacuated()))
     return _peel(tableaux.transpose(t))
-
-
-def _by_evacuation(p: Sequence[int], t: Tableau) -> Perm:
-    # f(p) reversed has insertion tableau T and recording tableau P(p#).
-    # Both come from the insertion, and P(p#) = evac(T) has T's shape, so
-    # the pair is not checked again.
-    n = len(p)
-    sharp = tuple(n + 1 - x for x in reversed(p))
-    return reverse(_inverse_rsk(t, _involution_tableau(sharp)))
 
 
 def f_involution(p: Sequence[int]) -> Perm:
@@ -257,41 +255,44 @@ def f_involution(p: Sequence[int]) -> Perm:
     reverse-complement of p (see the module docstring).  With lambda the
     shape of T, the peel of T^T visits about n(lambda^T) / 2 rows; the
     other route visits about n(lambda) / 2 to insert p# and n(lambda) to
-    reverse bump T, and does more per entry (two tableaux to check, a
+    reverse bump T, and does more per entry (a second tableau to build, a
     recording tableau to index).  The evacuation route is taken when
     3 n(lambda) + 10 n < n(lambda^T), a rule fitted to timings of both
-    routes at n = 10^3 to 3 * 10^4.  It is read off the shape in O(rows),
-    and the output is the same either way.
+    routes at n = 10^3 to 3 * 10^4 and read off the shape in O(rows).
 
     >>> f_involution((2, 1, 5, 4, 3, 9, 8, 7, 6))
     (6, 7, 3, 4, 8, 1, 2, 5, 9)
     """
-    t = tableau_of_involution(p)
-    lam = tableaux.shape(t)
-    n_lam = sum(i * length for i, length in enumerate(lam))
-    n_lam_transposed = sum(length * (length - 1) // 2 for length in lam)
-    if 3 * n_lam + 10 * len(p) < n_lam_transposed:
-        return _by_evacuation(p, t)
-    return _by_transpose(t)
-
-
-def _insertion_tableau(p: Sequence[int]) -> Tableau:
-    # P(p), by the involution insertion when p is an involution.
-    q = check_permutation(p)
-    return _involution_tableau(q) if is_involution(q) else rsk(q)[0]
+    q = check_involution(p)
+    n = len(q)
+    return _transposed(
+        _involution_tableau(q),
+        lambda: _involution_tableau(tuple(n + 1 - x for x in reversed(q))),
+    )
 
 
 def is_gfk_tight(p: Sequence[int]) -> bool:
     """
     True iff for every k the k longest jogs of p jointly realize the
     longest k-increasing subsequence length: by Greene's theorem, iff the
-    jog lengths, longest first, are the row lengths of P(p).
+    jog lengths, longest first, are the row lengths of P(p).  An
+    involution is not inserted (see the module docstring).
 
     >>> is_gfk_tight((6, 7, 3, 4, 8, 1, 2, 5, 9)), is_gfk_tight((1, 3, 4, 2))
     (True, False)
     """
-    rows = tableaux.shape(_insertion_tableau(p))
-    return tuple(jog_lengths(p)) == rows
+    q = check_permutation(p)
+    if not is_involution(q):
+        return tuple(jog_lengths(q)) == tableaux.shape(rsk(q)[0])
+    # q is its own inverse, so _jog_ends reads q's jogs from q itself.
+    ends = _jog_ends(q)
+    c = list(map(sub, ends, [0, *ends]))
+    t = layered_tableau(c)
+    # An involution has as many fixed points as its tableau, t^T, has odd
+    # columns: most non-tight q fail this O(n) test.
+    if sum(map(eq, q, count(1))) != sum(len(row) & 1 for row in t):
+        return False
+    return q == _transposed(t, lambda: layered_tableau(c[::-1]))
 
 
 def is_dually_gfk_tight(p: Sequence[int]) -> bool:

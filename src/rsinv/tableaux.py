@@ -112,6 +112,24 @@ def transpose(t: Sequence[Sequence[int]]) -> Tableau:
     return tuple(map(tuple, columns))
 
 
+def layered_tableau(parts: Sequence[int]) -> Tableau:
+    """
+    The tableau of the layered permutation with these layer lengths: each
+    layer starts on the top row, and each next entry of it goes directly
+    below the previous one.
+
+    >>> layered_tableau((2, 1, 3))
+    ((1, 3, 4), (2, 5), (6,))
+    """
+    rows: list[list[int]] = [[] for _ in range(max(parts, default=0))]
+    entry = 0
+    for width in parts:
+        for r in range(width):
+            entry += 1
+            rows[r].append(entry)
+    return as_tableau(rows)
+
+
 def tableau_descents(t: Sequence[Sequence[int]]) -> set[int]:
     """
     Entries i such that i+1 lies in a strictly lower row.  Raises

@@ -109,9 +109,9 @@ def test_f_method_all_on_all_involutions_up_to_8(capsys):
 
 
 def test_f_method_all_inserts_each_involution_once(capsys, monkeypatch):
-    # f and the GFK-tightness precondition of direct-gfk share P(q): one
-    # bump per 2-cycle of q, plus one per 2-cycle of q# when f takes the
-    # evacuation route, and never the general rsk
+    # Only f inserts: one bump per 2-cycle of q, plus one per 2-cycle of q#
+    # when it takes the evacuation route.  The GFK-tightness precondition of
+    # direct-gfk reads q's jogs instead, and the general rsk is never called.
     bumped = []
 
     def bump(rows, x):
@@ -129,7 +129,6 @@ def test_f_method_all_inserts_each_involution_once(capsys, monkeypatch):
         ((6, 7, 3, 4, 8, 1, 2, 5, 9), (2, 1, 5, 4, 3, 9, 8, 7, 6), [1, 2, 5]),
         (wide, (1, *range(30, 1, -1)), [1, 29]),
     ]:
-        insertion._involution_tableau.cache_clear()
         bumped.clear()
         assert run(["f", format_permutation(q), "--method", "all"]) == 0
         assert out_of(capsys) == (format_permutation(image) + "\n", "")

@@ -21,9 +21,9 @@ from rsinv.enumeration import (
     verify_bounds,
 )
 from rsinv.errors import InstanceTooLarge
-from rsinv.insertion import inverse_rsk, tableau_of_involution
-from rsinv.permutations import is_involution, is_layered
-from rsinv.tableaux import is_layered_tableau, shape, validate
+from rsinv.insertion import _inverse_rsk, _peel, f_involution, inverse_rsk, tableau_of_involution
+from rsinv.permutations import is_involution, is_layered, reverse
+from rsinv.tableaux import is_layered_tableau, shape, transpose, validate
 from rsinv.verify import CHECKS, brute_count_general, count_A_by_partitions
 
 
@@ -135,7 +135,7 @@ def test_count_involutions_past_the_recursion_limit():
         term = term * (n - 2 * k) * (n - 2 * k - 1) // (2 * (k + 1))
         total += term
     assert count_involutions(n) == total
-    assert [count_involutions(m) for m in range(-1, 5)] == [1, 1, 1, 2, 4, 10]
+    assert [count_involutions(m) for m in range(-1, 5)] == [0, 1, 1, 2, 4, 10]
 
 
 def test_layered_tableaux_stream():
@@ -165,7 +165,16 @@ def test_layered_tableau_of_each_composition():
         comps = list(compositions(n))
         assert len(walker) == len(comps), n
         for c, t in zip(comps, walker):
-            assert layered_tableau(c) == tableau_of_involution(layered_from_composition(c)) == t, c
+            w = layered_from_composition(c)
+            assert layered_tableau(c) == tableau_of_involution(w) == t, c
+            # layered(c)'s reverse-complement is layered(c reversed), so
+            # evac(t) is layered_tableau(c[::-1]), and both routes of f's
+            # last step run on t
+            sharp = tuple(n + 1 - x for x in reversed(w))
+            evacuated = layered_tableau(c[::-1])
+            assert evacuated == tableau_of_involution(sharp), c
+            image = f_involution(w)
+            assert _peel(transpose(t)) == reverse(_inverse_rsk(t, evacuated)) == image, c
 
 
 def test_generalized_layered_matches_grouping_by_shape():
@@ -231,20 +240,22 @@ def test_verify_bounds():
     assert verify_bounds(12)
 
 
+GENERATOR_COUNTS = [
+    (partitions, partition_count),
+    (compositions, count_layered),
+    (layered_permutations, count_layered),
+    (involutions, count_involutions),
+    (layered_tableaux, count_layered),
+    (standard_tableaux, count_involutions),
+    (generalized_layered, count_A),
+]
+
+
 @pytest.mark.parametrize(
-    "generate",
-    [
-        partitions,
-        compositions,
-        layered_permutations,
-        involutions,
-        layered_tableaux,
-        standard_tableaux,
-        generalized_layered,
-    ],
+    "generate, count", GENERATOR_COUNTS, ids=[g.__name__ for g, _ in GENERATOR_COUNTS]
 )
-def test_generators_yield_nothing_for_negative_n(generate):
-    # no object has a negative size
+def test_generators_yield_nothing_for_negative_n(generate, count):
+    # no object has a negative size, and each count agrees with its stream
     for n in (-1, -2, -7):
-        assert list(generate(n)) == [], n
-    assert len(list(generate(0))) == 1
+        assert list(generate(n)) == [] and count(n) == 0, n
+    assert len(list(generate(0))) == count(0) == 1

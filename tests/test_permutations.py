@@ -220,13 +220,6 @@ def test_layered_iff_avoids_231_and_312():
     assert is_layered((1, 3, 2)) and contains_pattern((1, 3, 2), (1, 3, 2))
 
 
-def test_layered_implies_involution():
-    for n in range(9):
-        for p in all_permutations(n):
-            if is_layered(p):
-                assert is_involution(p), p
-
-
 def test_layers_of_layered_are_reverse_jogs():
     for n in range(9):
         for p in all_permutations(n):

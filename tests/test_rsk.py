@@ -1,8 +1,8 @@
 import random
 import tracemalloc
+from functools import partial
 
 import pytest
-from hypothesis import given, strategies as st
 
 from rsinv import insertion, tableaux
 from rsinv.enumeration import count_A, generalized_layered, involutions, layered_from_composition
@@ -12,16 +12,17 @@ from rsinv.errors import (
     NotInvolution,
     ShapeMismatch,
 )
-from rsinv.permutations import all_permutations, decreasing, identity, inverse, reverse
-from rsinv.insertion import f_involution, inverse_rsk, row_insert, rsk, tableau_of_involution
-from rsinv.tableaux import shape, transpose
+from rsinv.permutations import decreasing, identity, jog_lengths, reverse
+from rsinv.insertion import (
+    f_involution,
+    inverse_rsk,
+    is_gfk_tight,
+    row_insert,
+    rsk,
+    tableau_of_involution,
+)
+from rsinv.tableaux import layered_tableau, shape, transpose
 from rsinv.verify import CHECKS
-
-
-@st.composite
-def perms(draw, max_n=8):
-    n = draw(st.integers(min_value=0, max_value=max_n))
-    return tuple(draw(st.permutations(range(1, n + 1))))
 
 
 def test_row_insert():
@@ -102,6 +103,25 @@ def seeded_involution(seed, n, paired):
     return tuple(word)
 
 
+def seeded_composition(seed, n, most):
+    # parts of random sizes 1..most, the last one cut to fit
+    rng = random.Random(seed)
+    parts = []
+    while sum(parts) < n:
+        parts.append(min(rng.randint(1, most), n - sum(parts)))
+    return parts
+
+
+def both_routes(t, evacuated):
+    # the two routes of insertion._transposed, each run directly: the peel
+    # of t^T, and the reverse of inverse_rsk((t, evac(t)))
+    return insertion._peel(transpose(t)), reverse(insertion._inverse_rsk(t, evacuated))
+
+
+def reverse_complement(q):
+    return tuple(len(q) + 1 - x for x in reversed(q))
+
+
 def assert_both_routes_are_f(q):
     # one bump per 2-cycle builds P(q), and the peel of a tableau S is the
     # involution inverse_rsk((S, S))
@@ -111,10 +131,11 @@ def assert_both_routes_are_f(q):
     # f's definition: reverse bump the transposed tableau against itself
     flipped = transpose(t)
     image = inverse_rsk((flipped, flipped))
-    assert insertion._peel(flipped) == image, q
-    assert insertion._by_transpose(t) == image, q
-    assert insertion._by_evacuation(q, t) == image, q
+    evacuated = insertion._involution_tableau(reverse_complement(q))
+    assert both_routes(t, evacuated) == (image, image), q
     assert f_involution(q) == image, q
+    # GFK-tightness read from q's jogs, against the shape of P(q)
+    assert is_gfk_tight(q) == (tuple(jog_lengths(q)) == shape(t)), q
 
 
 def test_f_routes_agree_on_all_involutions_up_to_9():
@@ -126,9 +147,27 @@ def test_f_routes_agree_on_all_involutions_up_to_9():
     assert count == 3736
 
 
-@pytest.mark.parametrize("paired", [0.2, 0.7, 1.0])
-def test_f_routes_agree_on_large_seeded_involutions(paired):
-    assert_both_routes_are_f(seeded_involution(7, 2003, paired))
+def seeded_tight(most):
+    # f of a layered permutation is GFK-tight; with parts of at most 1 or 3
+    # the test of its tightness takes the evacuation route, with 40 or 400
+    # the peel
+    c = seeded_composition(7, 2003, most)
+    t = layered_tableau(c)
+    q = f_involution(layered_from_composition(c))
+    assert both_routes(t, layered_tableau(c[::-1])) == (q, q), most
+    assert is_gfk_tight(q), most
+    return q
+
+
+LARGE_INVOLUTIONS = {
+    **{str(paired): partial(seeded_involution, 7, 2003, paired) for paired in (0.2, 0.7, 1.0)},
+    **{f"tight-{most}": partial(seeded_tight, most) for most in (1, 3, 40, 400)},
+}
+
+
+@pytest.mark.parametrize("kind", LARGE_INVOLUTIONS)
+def test_f_routes_agree_on_large_seeded_involutions(kind):
+    assert_both_routes_are_f(LARGE_INVOLUTIONS[kind]())
 
 
 def test_f_route_follows_the_shape(monkeypatch):
@@ -146,14 +185,14 @@ def test_f_route_follows_the_shape(monkeypatch):
     def general_rsk(p):
         raise AssertionError(f"f called the general rsk on {p}")
 
-    record("_by_transpose")
-    record("_by_evacuation")
+    record("_peel")
+    record("_inverse_rsk")
     monkeypatch.setattr(insertion, "rsk", general_rsk)
     # many fixed points: T is wide and short, so its transpose is tall
     f_involution(seeded_involution(7, 2003, 0.2))
     # no fixed points: T is near square, and evacuation costs one more insertion
     f_involution(seeded_involution(7, 2003, 1.0))
-    assert taken == ["_by_evacuation", "_by_transpose"]
+    assert taken == ["_inverse_rsk", "_peel"]
 
 
 def test_tableaux_the_library_built_are_not_checked_again(monkeypatch):
@@ -173,12 +212,7 @@ def test_tableaux_the_library_built_are_not_checked_again(monkeypatch):
 
 
 def seeded_layered(seed, n):
-    # layers of random lengths 1..40, the last one cut to fit
-    rng = random.Random(seed)
-    parts = []
-    while sum(parts) < n:
-        parts.append(min(rng.randint(1, 40), n - sum(parts)))
-    return layered_from_composition(parts)
+    return layered_from_composition(seeded_composition(seed, n, 40))
 
 
 KERNEL_WORDS = {
@@ -221,7 +255,6 @@ def test_outputs_hold_the_callers_int_objects():
     # its own entries instead of moving the input's fails here.  f takes
     # the evacuation route at 20% paired and the peel at 100%; both routes
     # are also run directly.
-    insertion._involution_tableau.cache_clear()
     p = tuple(random.Random(5).sample(range(1, 1001), 1000))
     ids = {id(v) for v in p}
     p_tab, q_tab = rsk(p)
@@ -233,12 +266,8 @@ def test_outputs_hold_the_callers_int_objects():
         q = seeded_involution(5, 1000, paired)
         ids = {id(v) for v in q}
         t = tableau_of_involution(q)
-        for result in (
-            t,
-            f_involution(q),
-            insertion._by_evacuation(q, t),
-            insertion._by_transpose(t),
-        ):
+        evacuated = insertion._involution_tableau(reverse_complement(q))
+        for result in (t, f_involution(q), *both_routes(t, evacuated)):
             assert {id(v) for v in entries(result)} <= ids
 
 
@@ -265,40 +294,8 @@ def test_rsk_pair_keeps_about_two_pointers_an_entry():
     assert kept / n < 24
 
 
-@given(perms(max_n=7))
-def test_roundtrip_property(p):
-    assert inverse_rsk(rsk(p)) == p
-
-
-@given(perms(max_n=7))
-def test_schuetzenberger_property(p):
-    p_tab, q_tab = rsk(p)
-    assert rsk(inverse(p)) == (q_tab, p_tab)
-    assert shape(p_tab) == shape(q_tab)
-
-
-@given(perms(max_n=7))
-def test_reversal_property(p):
-    assert rsk(reverse(p))[0] == transpose(rsk(p)[0])
-
-
-def test_involutions_have_symmetric_tableaux():
-    for n in range(8):
-        for p in involutions(n):
-            p_tab, q_tab = rsk(p)
-            assert p_tab == q_tab
-
-
 def test_exhaustive_rsk_suite():
     # descent transport, the inverse swap and f(f(q)) = q run in
     # tests/test_acceptance.py
     for result in (CHECKS["roundtrip"](7), CHECKS["reversal-transpose"](7)):
         assert result.ok, result.failures
-
-
-def test_all_permutations_reached_by_inverse_rsk():
-    # every tableau pair of a common shape comes from exactly one permutation
-    seen = set()
-    for p in all_permutations(5):
-        seen.add(rsk(p))
-    assert len(seen) == 120
