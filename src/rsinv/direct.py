@@ -4,8 +4,9 @@ avoid running the Robinson-Schensted correspondence.
 Each function carries the contract that it agrees with the corresponding
 insertion-based computation on its stated domain; the test suite checks
 those contracts exhaustively at small sizes.  Every precondition is
-decided in polynomial time: GFK-tightness of an involution from its jogs,
-without inserting it (``rsinv.insertion.is_gfk_tight``), and 321-avoidance
+decided in polynomial time: GFK-tightness by a P-only insertion of the
+side of p or its reverse with fewer rows, stopped past that many
+(``rsinv.insertion.is_gfk_tight``), and 321-avoidance
 (123-avoidance) by a longest decreasing subsequence of p (of its reversed
 word) of length at most 2.
 """

@@ -22,10 +22,10 @@ from .tableaux import Tableau, as_tableau, conjugate, layered_tableau
 Partition = tuple[int, ...]
 Composition = tuple[int, ...]
 
-#: most steps, about n^3 / 6, that ``count_A`` may take; past it it refuses
-#: before building a table.  The largest n it answers is 427: n = 400
-#: (10.7 M steps) took 4.5 s and n = 428 (13.1 M) 5.7 s, and time grows
-#: faster than the steps as the integers grow.
+#: most steps, counted as n^3 / 6, that ``count_A`` may take; past it it
+#: refuses before building a table.  The largest n it answers is 427.  The
+#: size-1 parts are closed in one sum, so n^3 / 6 now overstates the steps
+#: about twofold (5.4 M of them at n = 400, in 1.6 s); the bound is kept.
 COUNT_A_STEP_BOUND = 13 * 10**6
 
 
@@ -130,9 +130,11 @@ def count_A(n: int) -> int:
     downward so that each state is extended by parts of size j only once.
     The squares come from a table built once per call.  Size j visits
     O(n^3 / j^2) (s, l, m) triples, O(n^3) exact-integer steps in all,
-    instead of p(n) partitions.  It takes about 0.3 s at n = 150, 1.8 s at
-    n = 300 and 4.6 s at n = 400 (Python 3.11.7, shared 2-vCPU host): the
-    time grows faster than n^3 because the integers grow to about 2n bits.
+    instead of p(n) partitions.  Parts of size 1 come last, so only the
+    totals they bring to n count: m = n - s, one term per state, which
+    halves the steps.  It takes about 0.07 s at n = 150, 0.5 s at n = 300
+    and 1.6 s at n = 400 (Python 3.11.7, shared 2-vCPU host): the time
+    grows faster than n^3 because the integers grow to about 2n bits.
     Raises InstanceTooLarge, before any table is built, when n^3 / 6
     passes COUNT_A_STEP_BOUND.
 
@@ -149,14 +151,19 @@ def count_A(n: int) -> int:
     squares = [[comb(l + m, m) ** 2 for m in range(n + 1 - l)] for l in range(n + 1)]
     ways = [[0] * (n + 1) for _ in range(n + 1)]
     ways[0][0] = 1
-    for j in range(n, 0, -1):
+    for j in range(n, 1, -1):
         for s in range(n - j, -1, -1):
             for l, w in enumerate(ways[s][: s // (j + 1) + 1]):
                 if w:
                     square = squares[l]
                     for m in range(1, (n - s) // j + 1):
                         ways[s + j * m][l + m] += w * square[m]
-    return sum(ways[n])
+    return sum(
+        w * squares[l][n - s]
+        for s in range(n + 1)
+        for l, w in enumerate(ways[s][: s // 2 + 1])
+        if w
+    )
 
 
 def count_layered(n: int) -> int:

@@ -48,36 +48,30 @@ less, by a rule read off lambda.
 By Greene's theorem the first k rows of P(p) hold as many entries as the
 longest k-increasing subsequence of p, so GFK-tightness (the k longest
 jogs realize that length for every k) is the statement that the jog
-lengths, longest first, are the row lengths of P(p).  An involution q
-is not inserted, which is quadratic when T is tall.  With w the layered
-permutation whose layers are q's jog lengths c in value order, q is
-compared with f(w), built from L(c) = P(w) and evac(L(c)) = L(c
-reversed), both written down directly.  As f(f(q)) = q, q passes iff
-f(q) = w: by the paper's theorem (f maps the GFK-tight involutions
-one-to-one onto the layered ones, jogs to layers) iff q is GFK-tight.
-Verify's ``tight-vs-transposed-layer`` and ``direct-gfk`` rows check
-that against the insertion-free subset oracle of ``rsinv.greene``.
+lengths, longest first, are the row lengths of P(p).  A tight P(p) has as
+many rows as p has jogs, and P(p^r) = P(p)^T as many as p's longest jog,
+so ``is_gfk_tight`` inserts whichever of p and p^r needs fewer rows, P
+only, and stops at the first entry that lands past that count: at most
+n * min(jogs, longest jog) row visits, linear when either is bounded.
+The paper's theorem is not used: verify's ``tight-vs-transposed-layer``
+and ``direct-gfk`` rows check it against ``rsinv.greene``'s oracle.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import count
-from operator import eq, sub
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import tableaux
 from .errors import DuplicateEntry, ShapeMismatch
 from .permutations import (
     Perm,
     _check_in_value_order,
-    _jog_ends,
     check_involution,
     check_permutation,
-    is_involution,
     jog_lengths,
     reverse,
 )
-from .tableaux import Tableau, layered_tableau
+from .tableaux import Tableau
 
 
 def _bump(rows: list[list[int]], x: int) -> int:
@@ -93,6 +87,15 @@ def _bump(rows: list[list[int]], x: int) -> int:
         r += 1
     rows.append([x])
     return r
+
+
+def _shape_within(w: Sequence[int], most: int) -> tuple[int, ...] | None:
+    # P(w)'s row lengths, or None once an entry lands below row `most`.
+    rows: list[list[int]] = []
+    for x in w:
+        if _bump(rows, x) == most:
+            return None
+    return tuple(map(len, rows))
 
 
 def row_insert(t: Sequence[Sequence[int]], x: int) -> tuple[Tableau, int]:
@@ -235,17 +238,6 @@ def tableau_of_involution(p: Sequence[int]) -> Tableau:
     return _involution_tableau(check_involution(p))
 
 
-def _transposed(t: Tableau, evacuated: Callable[[], Tableau]) -> Perm:
-    # The involution whose tableau is t^T, by f_involution's two routes;
-    # evacuated() builds evac(t) for the one that reads it.  Nothing is checked.
-    lam = tableaux.shape(t)
-    n_lam = sum(i * length for i, length in enumerate(lam))
-    n_lam_transposed = sum(length * (length - 1) // 2 for length in lam)
-    if 3 * n_lam + 10 * sum(lam) < n_lam_transposed:
-        return reverse(_inverse_rsk(t, evacuated()))
-    return _peel(tableaux.transpose(t))
-
-
 def f_involution(p: Sequence[int]) -> Perm:
     """
     Transpose the tableau T of the involution p and take the involution
@@ -265,34 +257,31 @@ def f_involution(p: Sequence[int]) -> Perm:
     """
     q = check_involution(p)
     n = len(q)
-    return _transposed(
-        _involution_tableau(q),
-        lambda: _involution_tableau(tuple(n + 1 - x for x in reversed(q))),
-    )
+    t = _involution_tableau(q)
+    lam = tableaux.shape(t)
+    n_lam = sum(i * length for i, length in enumerate(lam))
+    n_lam_transposed = sum(length * (length - 1) // 2 for length in lam)
+    if 3 * n_lam + 10 * n < n_lam_transposed:
+        q_sharp = tuple(n + 1 - x for x in reversed(q))
+        return reverse(_inverse_rsk(t, _involution_tableau(q_sharp)))
+    return _peel(tableaux.transpose(t))
 
 
 def is_gfk_tight(p: Sequence[int]) -> bool:
     """
     True iff for every k the k longest jogs of p jointly realize the
     longest k-increasing subsequence length: by Greene's theorem, iff the
-    jog lengths, longest first, are the row lengths of P(p).  An
-    involution is not inserted (see the module docstring).
+    jog lengths, longest first, are the row lengths of P(p), read from
+    the side of p or its reverse with fewer rows (module docstring).
 
     >>> is_gfk_tight((6, 7, 3, 4, 8, 1, 2, 5, 9)), is_gfk_tight((1, 3, 4, 2))
     (True, False)
     """
     q = check_permutation(p)
-    if not is_involution(q):
-        return tuple(jog_lengths(q)) == tableaux.shape(rsk(q)[0])
-    # q is its own inverse, so _jog_ends reads q's jogs from q itself.
-    ends = _jog_ends(q)
-    c = list(map(sub, ends, [0, *ends]))
-    t = layered_tableau(c)
-    # An involution has as many fixed points as its tableau, t^T, has odd
-    # columns: most non-tight q fail this O(n) test.
-    if sum(map(eq, q, count(1))) != sum(len(row) & 1 for row in t):
-        return False
-    return q == _transposed(t, lambda: layered_tableau(c[::-1]))
+    lengths = tuple(jog_lengths(q))
+    if lengths and len(lengths) > lengths[0]:
+        q, lengths = reverse(q), tableaux.conjugate(lengths)
+    return _shape_within(q, len(lengths)) == lengths
 
 
 def is_dually_gfk_tight(p: Sequence[int]) -> bool:

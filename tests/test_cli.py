@@ -109,9 +109,11 @@ def test_f_method_all_on_all_involutions_up_to_8(capsys):
 
 
 def test_f_method_all_inserts_each_involution_once(capsys, monkeypatch):
-    # Only f inserts: one bump per 2-cycle of q, plus one per 2-cycle of q#
-    # when it takes the evacuation route.  The GFK-tightness precondition of
-    # direct-gfk reads q's jogs instead, and the general rsk is never called.
+    # f inserts q once: one bump per 2-cycle of q, plus one per 2-cycle of
+    # q# when it takes the evacuation route.  The GFK-tightness precondition
+    # of direct-gfk then inserts the short side, each entry once, up to its
+    # row count: q itself for both, as 3 jogs <= a longest of 4 and 2 <= 29.
+    # The general rsk is never called.
     bumped = []
 
     def bump(rows, x):
@@ -126,8 +128,12 @@ def test_f_method_all_inserts_each_involution_once(capsys, monkeypatch):
     monkeypatch.setattr(insertion, "rsk", general_rsk)
     wide = (2, 1, *range(3, 31))  # T of shape (29, 1): the evacuation route
     for q, image, inserted in [
-        ((6, 7, 3, 4, 8, 1, 2, 5, 9), (2, 1, 5, 4, 3, 9, 8, 7, 6), [1, 2, 5]),
-        (wide, (1, *range(30, 1, -1)), [1, 29]),
+        (
+            (6, 7, 3, 4, 8, 1, 2, 5, 9),
+            (2, 1, 5, 4, 3, 9, 8, 7, 6),
+            [1, 2, 5, 6, 7, 3, 4, 8, 1, 2, 5, 9],
+        ),
+        (wide, (1, *range(30, 1, -1)), [1, 29, *wide]),
     ]:
         bumped.clear()
         assert run(["f", format_permutation(q), "--method", "all"]) == 0

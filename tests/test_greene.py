@@ -20,7 +20,7 @@ from rsinv.greene import (
     oracle_is_gfk_tight,
     oracle_is_gfk_tight_both_ways,
 )
-from rsinv.insertion import is_dually_gfk_tight, is_gfk_tight
+from rsinv.insertion import is_dually_gfk_tight, is_gfk_tight, rsk
 from rsinv.permutations import (
     _jog_lengths_from_inverse,
     all_permutations,
@@ -34,6 +34,7 @@ from rsinv.permutations import (
     record_breakers,
     reverse,
 )
+from rsinv.tableaux import shape
 from rsinv.verify import CHECKS, brute_count_general
 
 
@@ -271,6 +272,7 @@ def test_both_ways_predicates_equal_their_two_call_forms():
             dual, dual_q = oracle_is_dually_gfk_tight(p), oracle_is_dually_gfk_tight(q)
             assert oracle_is_gfk_tight_both_ways(p) == (tight and tight_q), p
             assert oracle_is_dually_gfk_tight_both_ways(p) == (dual and dual_q), p
+            assert is_gfk_tight(p) == (tuple(jog_lengths(p)) == shape(rsk(p)[0])), p
             mixed += tight != tight_q
             mixed_dual += dual != dual_q
     assert mixed and mixed_dual

@@ -16,6 +16,7 @@ from rsinv.permutations import decreasing, identity, jog_lengths, reverse
 from rsinv.insertion import (
     f_involution,
     inverse_rsk,
+    is_dually_gfk_tight,
     is_gfk_tight,
     row_insert,
     rsk,
@@ -43,6 +44,10 @@ def test_row_insert_duplicate():
 def test_rsk_worked_examples():
     layered = ((1, 3, 6), (2, 4, 7), (5, 8), (9,))
     assert rsk((2, 1, 5, 4, 3, 9, 8, 7, 6)) == (layered, layered)
+    # the capped P-only insertion: 4 rows fit a cap of 4, not one of 3
+    assert insertion._shape_within((2, 1, 5, 4, 3, 9, 8, 7, 6), 4) == (3, 3, 2, 1)
+    assert insertion._shape_within((2, 1, 5, 4, 3, 9, 8, 7, 6), 3) is None
+    assert insertion._shape_within((), 0) == ()
     assert rsk(identity(4)) == (((1, 2, 3, 4),), ((1, 2, 3, 4),))
     flipped = ((1, 2, 5, 9), (3, 4, 8), (6, 7))
     assert rsk((6, 7, 3, 4, 8, 1, 2, 5, 9)) == (flipped, flipped)
@@ -113,7 +118,7 @@ def seeded_composition(seed, n, most):
 
 
 def both_routes(t, evacuated):
-    # the two routes of insertion._transposed, each run directly: the peel
+    # the two routes of insertion.f_involution, each run directly: the peel
     # of t^T, and the reverse of inverse_rsk((t, evac(t)))
     return insertion._peel(transpose(t)), reverse(insertion._inverse_rsk(t, evacuated))
 
@@ -148,9 +153,9 @@ def test_f_routes_agree_on_all_involutions_up_to_9():
 
 
 def seeded_tight(most):
-    # f of a layered permutation is GFK-tight; with parts of at most 1 or 3
-    # the test of its tightness takes the evacuation route, with 40 or 400
-    # the peel
+    # f of a layered permutation is GFK-tight; on its layered tableau, f's
+    # route rule picks the evacuation route with parts of at most 1 or 3,
+    # the peel with 40 or 400, and both routes give f(layered(c))
     c = seeded_composition(7, 2003, most)
     t = layered_tableau(c)
     q = f_involution(layered_from_composition(c))
@@ -219,6 +224,8 @@ KERNEL_WORDS = {
     "random": lambda: tuple(random.Random(3).sample(range(1, 2001), 2000)),
     "decreasing": lambda: decreasing(500),
     "layered": lambda: seeded_layered(3, 2000),
+    "tight": lambda: f_involution(seeded_layered(3, 2000)),
+    "paired-0.01": lambda: seeded_involution(3, 2000, 0.01),
     "paired-0.2": lambda: seeded_involution(3, 1500, 0.2),
     "paired-0.7": lambda: seeded_involution(3, 1000, 0.7),
     "paired-1.0": lambda: seeded_involution(3, 800, 1.0),
@@ -229,7 +236,9 @@ KERNEL_WORDS = {
 def test_bump_kernels_agree_on_large_seeded_words(kind):
     # rsk's inline bump loop against P built by successive row_insert calls
     # (Q from their landing rows), and the inline reverse bumps of
-    # inverse_rsk and the peel against each other.
+    # inverse_rsk and the peel against each other.  GFK-tightness of p and
+    # of its reverse against the shapes of their full insertions: the words
+    # take both sides of the capped insertion, and both outcomes.
     p = KERNEL_WORDS[kind]()
     p_tab, q_rows = (), []
     for step, x in enumerate(p, start=1):
@@ -239,6 +248,9 @@ def test_bump_kernels_agree_on_large_seeded_words(kind):
         q_rows[landing - 1].append(step)
     assert rsk(p) == (p_tab, tableaux.as_tableau(q_rows))
     assert inverse_rsk(rsk(p)) == p
+    assert is_gfk_tight(p) == (tuple(jog_lengths(p)) == shape(p_tab))
+    r = reverse(p)
+    assert is_dually_gfk_tight(p) == (tuple(jog_lengths(r)) == shape(rsk(r)[0]))
     if kind.startswith("paired"):
         t = tableau_of_involution(p)
         for s in (t, transpose(t)):
