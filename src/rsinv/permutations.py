@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right, insort
 from functools import cache
 from itertools import compress, count, permutations as _permutations
 from math import comb, inf
-from operator import gt, index, sub
+from operator import gt, index
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -260,9 +260,21 @@ def jog_lengths(p: Sequence[int]) -> list[int]:
 
 def _jog_lengths_from_inverse(pos: Sequence[int]) -> list[int]:
     # jog_lengths of the permutation whose inverse is pos, read from pos
-    # alone, for a caller that holds p^-1 already; pos is not checked.
-    ends = _jog_ends(pos)
-    return sorted(map(sub, ends, [0] + ends), reverse=True)
+    # alone, for a caller that holds p^-1 already; pos is not checked.  A
+    # jog is an ascending run of pos: one pass counts the runs' lengths, and
+    # the sort puts the longest first.
+    lengths = []
+    run = last = 0
+    for q in pos:
+        if q < last:
+            lengths.append(run)
+            run = 0
+        run += 1
+        last = q
+    if run:
+        lengths.append(run)
+    lengths.sort(reverse=True)
+    return lengths
 
 
 def reverse_jogs(p: Sequence[int]) -> list[Interval]:

@@ -186,6 +186,76 @@ def test_subset_profile_equals_the_subset_walk_at_large_n():
         assert _subset_profile(p) == reference_subset_profile(p), p
 
 
+def from_scratch(values):
+    # _subset_profile with its memo of the last run emptied first
+    greene._last_run = (), [{(): 0}]
+    return _subset_profile(values)
+
+
+def test_resumed_programme_equals_a_run_from_scratch_in_any_order():
+    # A run resumes from the states after the prefix its word shares with
+    # the last word of its length.  On every permutation with n <= 8, in
+    # lexicographic order and in a shuffled one, and on long words that
+    # share prefixes, with shorter words between them, it answers as a run
+    # from an emptied memo.
+    words = [p for n in range(9) for p in all_permutations(n)]
+    scratch = {p: from_scratch(p) for p in words}
+    rng = random.Random(24)
+    for shuffled in (False, True):
+        if shuffled:
+            rng.shuffle(words)
+        for p in words:
+            assert _subset_profile(p) == scratch[p], (shuffled, p)
+    mixed = []
+    for n in range(12, 17):
+        w = rng.sample(range(1, n + 1), n)
+        for _ in range(6):
+            keep = rng.randrange(n - 1)
+            tail = w[keep:]
+            rng.shuffle(tail)
+            w = w[:keep] + tail
+            mixed.append(tuple(w))
+            if rng.random() < 0.5:
+                mixed.append(rng.choice(words))
+    expected = [from_scratch(p) for p in mixed]
+    for p, profile in zip(mixed, expected):
+        assert _subset_profile(p) == profile, p
+
+
+def test_resumed_programme_edge_cases():
+    # the empty word and a word of length 1 between two long words
+    from_scratch((4, 1, 3, 2))
+    assert _subset_profile(()) == (0,) and _subset_profile((1,)) == (0, 1)
+    assert _subset_profile((4, 1, 2, 3)) == from_scratch((4, 1, 2, 3))
+    # the same word twice in a row
+    p = (5, 2, 7, 1, 3, 6, 4)
+    assert _subset_profile(p) == _subset_profile(p) == from_scratch(p)
+    # a miss after the profile cache is cleared, which leaves the memo: the
+    # same key twice in a row
+    _cached_profile.cache_clear()
+    first = k_increasing_profile(p)
+    _cached_profile.cache_clear()
+    assert greene._last_run[0] == _orbit_key(p, inverse(p))
+    assert k_increasing_profile(p) == first == from_scratch(p)
+    assert _cached_profile.cache_info().misses == 1
+
+
+def test_a_run_keeps_the_states_of_the_prefix_it_shares():
+    # v and w share their first `shared` entries: w's run keeps the very
+    # dicts v's run built after those prefixes, and builds the rest anew.
+    v = (3, 7, 1, 8, 5, 2, 6, 4)
+    for shared in range(len(v) - 1):
+        w = v[:shared] + v[shared:][::-1]
+        profile = from_scratch(w)
+        from_scratch(v)
+        before = greene._last_run[1]
+        assert _subset_profile(w) == profile, w
+        after = greene._last_run[1]
+        assert len(after) == len(before) == len(v) - 1
+        assert all(a is b for a, b in zip(after[: shared + 1], before)), shared
+        assert not any(a is b for a, b in zip(after[shared + 1 :], before[shared + 1 :])), shared
+
+
 def test_references_use_no_insertion_and_no_patience_sorting():
     # The oracle and the pattern search are what the insertion-based and
     # patience-sorting answers are checked against, so they may use neither.
