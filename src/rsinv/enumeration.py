@@ -2,17 +2,17 @@
 and counts: of partitions, involutions, layered permutations, and the
 permutations whose insertion and recording tableaux are both layered.
 
-All streams are lazy with documented deterministic orders, and yield
-nothing for a negative size, where every count is 0; all counts use exact
-integer arithmetic in polynomial time.  Standard and layered tableaux share one walk, with a
-placement rule each.  The slow references the counts are checked
-against, the partition sum and the factorial scan with the subset oracle,
-are in ``rsinv.verify``, so nothing here imports the oracle.
+All streams are lazy with documented deterministic orders, and yield nothing
+for a negative size, where every count is 0; all counts use exact integer
+arithmetic in polynomial time.  Layered tableaux are built from compositions,
+as layered permutations are; only standard tableaux are walked.  The slow
+references for the counts, the partition sum and the factorial scan with the
+subset oracle, are in ``rsinv.verify``, so nothing here imports the oracle.
 """
 from __future__ import annotations
 
 from math import comb, factorial
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import InstanceTooLarge
 from .insertion import _inverse_rsk
@@ -237,9 +237,23 @@ def involutions(n: int) -> Iterator[Perm]:
             return
 
 
-def _grow_tableaux(n: int, later: Callable[..., int | None]) -> Iterator[Tableau]:
-    # Every tableau on 1..n the rule reaches from the one-row tableau: e, just
-    # taken off row r, may go to row later(rows, row_of, e, r) > r, or nowhere.
+def layered_tableaux(n: int) -> Iterator[Tableau]:
+    """
+    All 2^(n-1) layered tableaux on n boxes, in which each entry i+1 sits
+    directly below i or in the top row: the tableau of each composition,
+    in the order of ``compositions``.
+
+    >>> list(layered_tableaux(2))
+    [((1, 2),), ((1,), (2,))]
+    """
+    return map(layered_tableau, compositions(n))
+
+
+def standard_tableaux(n: int) -> Iterator[Tableau]:
+    """
+    All standard Young tableaux on n boxes, grown by appending each next
+    entry to every legal row end, top row first, then to a new row.
+    """
     if n == 0:
         yield ()
     if n <= 0:
@@ -248,8 +262,8 @@ def _grow_tableaux(n: int, later: Callable[..., int | None]) -> Iterator[Tableau
     row_of = [0] * (n + 1)  # 0-based row of each entry
     while True:
         yield as_tableau(rows)
-        # Take entries off, largest first, until one has a later row; put
-        # it there and every larger entry back on the top row.
+        # Take entries off, largest first, until one fits a later row (the next one shorter
+        # than the row above it, or a new row); put it there, every larger one on the top row.
         e = n
         while True:
             if e == 1:
@@ -258,8 +272,10 @@ def _grow_tableaux(n: int, later: Callable[..., int | None]) -> Iterator[Tableau
             rows[r].pop()
             if not rows[r]:
                 rows.pop()
-            r = later(rows, row_of, e, r)
-            if r is not None:
+            r += 1
+            while r < len(rows) and len(rows[r]) == len(rows[r - 1]):
+                r += 1
+            if r <= len(rows):
                 break
             e -= 1
         if r == len(rows):
@@ -269,34 +285,6 @@ def _grow_tableaux(n: int, later: Callable[..., int | None]) -> Iterator[Tableau
         rows[0].extend(range(e + 1, n + 1))
         for k in range(e + 1, n + 1):
             row_of[k] = 0
-
-
-def layered_tableaux(n: int) -> Iterator[Tableau]:
-    """
-    All 2^(n-1) standard tableaux in which each entry i+1 sits directly
-    below i or in the top row: the standard walk, but e moves only from the
-    top row to the row below e - 1, top-row placement first.
-
-    >>> list(layered_tableaux(2))
-    [((1, 2),), ((1,), (2,))]
-    """
-    return _grow_tableaux(n, lambda rows, row_of, e, r: None if r else row_of[e - 1] + 1)
-
-
-def standard_tableaux(n: int) -> Iterator[Tableau]:
-    """
-    All standard Young tableaux on n boxes, grown by appending each next
-    entry to every legal row end, top row first, then to a new row.
-    """
-
-    def later(rows, row_of, e, r):
-        # The next row below r shorter than the row above it, or a new row.
-        r += 1
-        while r < len(rows) and len(rows[r]) == len(rows[r - 1]):
-            r += 1
-        return r if r <= len(rows) else None
-
-    return _grow_tableaux(n, later)
 
 
 def _rearrangements(parts: Sequence[int]) -> Iterator[Composition]:

@@ -214,7 +214,7 @@ def tableau_from_json(text: str) -> Tableau:
     """Parse and validate the JSON tableau format; raises InvalidTableau."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, too long an int, too deep
         raise InvalidTableau(f"bad tableau JSON: {exc}") from exc
     if not isinstance(data, dict) or set(data) != {"rows"}:
         raise InvalidTableau('tableau JSON must be an object with single key "rows"')

@@ -10,10 +10,10 @@ which instances it applies to.  Calling a row walks its family through
 ``_check``, which counts instances and collects counterexamples.
 ``SUITES`` groups the rows, and the CLI runs them so the whole battery
 can be reproduced without a test runner; the test suite asserts them at
-the sizes fixed in tests/test_acceptance.py.  A size given on the command
-line is refused up front when some chosen check would walk more than
-INSTANCE_BUDGET instances, summing its family's counts over the sizes it
-walks.
+the sizes fixed in tests/test_acceptance.py.  A check called at a size
+where it would walk more than INSTANCE_BUDGET instances, summing its
+family's counts over the sizes it walks, refuses before walking; the CLI
+refuses such a size up front, before any chosen check starts.
 
 GFK-tightness is decided here by the subset oracle of ``rsinv.greene``
 and pattern avoidance by the pattern search, both independent of
@@ -62,12 +62,12 @@ from .tableaux import (
 
 MAX_FAILURES_KEPT = 5
 
-#: most instances, summed over sizes, that one check may walk when
-#: ``--max-n`` overrides its default size; ``require_budget`` refuses a run
-#: past it before any check starts.  Every check of the default battery is
-#: under it (the largest walk is the 46,234 permutations with n <= 8), and
-#: so are the permutation checks at n <= 9 (409,114), but not at n <= 10
-#: (4,037,914).
+#: most instances, summed over sizes, that one check may walk, and the most
+#: partitions ``count_A_by_partitions`` sums; past it each refuses before
+#: any work, and ``require_budget`` before any check starts.  Every check of
+#: the default battery is under it (the largest walk is the 46,234
+#: permutations with n <= 8), and so are the permutation checks at n <= 9
+#: (409,114), but not at n <= 10 (4,037,914).
 INSTANCE_BUDGET = 10**6
 
 #: largest n for which the n!-scan count is allowed
@@ -157,7 +157,10 @@ class Check:
     where: Callable[[Any], bool] = lambda _: True
 
     def __call__(self, max_n: int | None = None) -> CheckResult:
-        sizes = self.family.sizes(self.max_n if max_n is None else max_n)
+        """Walk the family to max_n, or refuse first past INSTANCE_BUDGET instances."""
+        max_n = self.max_n if max_n is None else max_n
+        _refuse_past_budget(self, max_n)
+        sizes = self.family.sizes(max_n)
         instances = chain.from_iterable(map(self.family.members, sizes))
         return _check(self.name, instances, self.holds, self.where)
 
@@ -272,7 +275,10 @@ _FAMILY_COUNTS: dict[str, Callable[[int], bool]] = {
 def count_A_by_partitions(n: int) -> int:
     """A_n as the literal sum of comp_count(h)**2 over the p(n) partitions
     h of n: the reference that count_A's dynamic programme is checked
-    against."""
+    against.  Past INSTANCE_BUDGET partitions, at n >= 61, it raises
+    InstanceTooLarge first, reading p(m) for m <= n only until one passes."""
+    if any(enumeration.partition_count(m) > INSTANCE_BUDGET for m in range(n + 1)):
+        raise InstanceTooLarge(f"p({n}) partitions are past INSTANCE_BUDGET = {INSTANCE_BUDGET}")
     return sum(enumeration.comp_count(h) ** 2 for h in enumeration.partitions(n))
 
 
@@ -329,7 +335,7 @@ SUITES: dict[str, list[Check]] = {
         ),
     ],
     "characterization": [
-        # layered permutations' tableaux, filtered tableaux, the walker: the same 2^(n-1)
+        # layered permutations' tableaux, filtered standard ones, compositions': the same 2^(n-1)
         Check(
             "layered-tableau-sets",
             _sizes(lambda n: enumeration.count_involutions(n) + 2 * enumeration.count_layered(n)),
@@ -460,13 +466,17 @@ SUITES: dict[str, list[Check]] = {
 CHECKS: dict[str, Check] = {check.name: check for checks in SUITES.values() for check in checks}
 
 
+def _refuse_past_budget(check: Check, max_n: int) -> None:
+    # The refusal names suite/check, as the CLI chooses it; a check in no suite by its name.
+    if check.walked(max_n) > INSTANCE_BUDGET:
+        label = "/".join([s for s, checks in SUITES.items() if check in checks][:1] + [check.name])
+        raise DomainError(
+            f"{label} walks more than {INSTANCE_BUDGET} instances at max-n {max_n}; lower --max-n"
+        )
+
+
 def require_budget(names: Iterable[str], max_n: int) -> None:
     """Raise DomainError, running nothing, if at max_n some check of these
     suites walks more than INSTANCE_BUDGET instances."""
-    for name in names:
-        for check in SUITES[name]:
-            if check.walked(max_n) > INSTANCE_BUDGET:
-                raise DomainError(
-                    f"{name}/{check.name} walks more than {INSTANCE_BUDGET}"
-                    f" instances at max-n {max_n}; lower --max-n"
-                )
+    for check in chain.from_iterable(SUITES[name] for name in names):
+        _refuse_past_budget(check, max_n)

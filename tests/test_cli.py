@@ -14,6 +14,7 @@ import rsinv
 from rsinv import cli, greene, insertion, verify
 from rsinv.cli import run
 from rsinv.enumeration import involutions, layered_from_composition
+from rsinv.errors import DomainError
 from rsinv.permutations import decreasing, format_permutation
 from rsinv.tableaux import tableau_to_json
 
@@ -482,6 +483,23 @@ def test_verify_refuses_a_run_past_the_instance_budget(capsys, monkeypatch):
     out, err = out_of(capsys)
     assert out == "" and err.startswith("error: counting/pairs-distinct walks more than")
     assert started == []
+
+
+def test_a_check_called_past_the_budget_refuses_before_walking(monkeypatch):
+    started = []
+    monkeypatch.setattr(verify, "_check", lambda name, *args, **kwargs: started.append(name))
+    # the message is the one the CLI's up-front refusal prints
+    for label, max_n in (("rsk/roundtrip", 10), ("rsk/f-twice", 14), ("counting/pairs-distinct", 99)):
+        check = verify.CHECKS[label.split("/")[1]]
+        assert check.walked(max_n) > verify.INSTANCE_BUDGET
+        with pytest.raises(DomainError) as refusal:
+            check(max_n)
+        assert str(refusal.value) == (
+            f"{label} walks more than 1000000 instances at max-n {max_n}; lower --max-n"
+        )
+    assert started == []
+    verify.CHECKS["roundtrip"](9)
+    assert started == ["roundtrip"]
 
 
 def test_instance_budget_bounds_every_check():

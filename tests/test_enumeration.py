@@ -24,7 +24,7 @@ from rsinv.errors import InstanceTooLarge
 from rsinv.insertion import _inverse_rsk, _peel, f_involution, inverse_rsk, tableau_of_involution
 from rsinv.permutations import is_involution, is_layered, reverse
 from rsinv.tableaux import is_layered_tableau, shape, transpose, validate
-from rsinv.verify import CHECKS, brute_count_general, count_A_by_partitions
+from rsinv.verify import CHECKS, INSTANCE_BUDGET, brute_count_general, count_A_by_partitions
 
 
 def test_partitions_order_and_counts():
@@ -83,6 +83,19 @@ def test_count_A_matches_partition_sum():
 def test_count_A_bounds_at_200():
     # p(200) is about 4e12, so the partition sum could not reach this
     assert verify_bounds(200)
+
+
+def test_partition_sum_refuses_past_the_instance_budget(monkeypatch):
+    # p(60) = 966,467 partitions are summed; p(61) = 1,121,505 pass the
+    # budget, and the refusal comes before any partition is listed
+    assert partition_count(60) <= INSTANCE_BUDGET < partition_count(61)
+    listed = []
+    monkeypatch.setattr("rsinv.enumeration.partitions", lambda n: listed.append(n) or [])
+    for n in (61, 100, 10**18):
+        with pytest.raises(InstanceTooLarge, match="INSTANCE_BUDGET"):
+            count_A_by_partitions(n)
+    assert listed == []
+    assert count_A_by_partitions(60) == 0 and listed == [60]
 
 
 def test_count_A_refuses_past_its_step_bound():
@@ -147,10 +160,14 @@ def test_layered_tableaux_stream():
 
 
 def test_standard_tableaux_counts():
-    # tableau counts coincide with involution counts (the correspondence
-    # restricts to a bijection between the two families)
-    for n in range(9):
-        assert sum(1 for _ in standard_tableaux(n)) == count_involutions(n)
+    # the correspondence restricts to a bijection between involutions and
+    # standard tableaux: the walk yields I(n) distinct valid tableaux, the
+    # insertion tableaux of the involutions (3,736 in all for n <= 9)
+    for n in range(10):
+        walked = list(standard_tableaux(n))
+        assert len(walked) == len(set(walked)) == count_involutions(n), n
+        assert all(map(validate, walked)), n
+        assert set(walked) == {tableau_of_involution(q) for q in involutions(n)}, n
 
 
 def test_generalized_layered():

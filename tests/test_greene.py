@@ -312,7 +312,7 @@ def test_oracle_refuses_a_non_permutation():
 def test_one_inverse_gives_the_orbit_key_the_profile_and_the_jogs():
     # the key is exactly the least of the four images, and the inverse the
     # helper returns gives jog_lengths(p); the profile is checked against
-    # the uncached programme at n = 12-16, and through the key at n <= 7
+    # the cached lookup at n <= 8 and the uncached programme at n = 12-16
     for n in range(9):
         for p in all_permutations(n):
             q = inverse(p)

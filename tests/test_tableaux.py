@@ -304,6 +304,9 @@ def test_json_roundtrip():
         '{"rows": [[1]], "extra": 1}',
         '{"rows": [[1.5]]}',
         '{"rows": [[true, 2]]}',
+        # past the int-to-str digit limit, and nested past the recursion limit
+        pytest.param('{"rows": [[' + "7" * 5000 + "]]}", id="5000-digit-entry"),
+        pytest.param("[" * 10**5, id="deep-arrays"),
     ],
 )
 def test_json_rejects(text):
