@@ -20,15 +20,32 @@ row, and reverse bumping the last entry of the row above ejects j's
 partner from the first row.  ``tableau_of_involution`` is the insertion
 and f's last step is the peel.
 
-The bumping loops take nearly all of f's time.  ``_bump`` is the forward
-loop of ``row_insert`` and of the involution insertion, which calls it
-once per 2-cycle.  ``rsk`` runs the same loop inline over (P row, Q row)
-pairs: no entry pays for a call, and the Q row is at hand where the P row
-is appended to.  ``inverse_rsk`` and the peel each reverse-bump inline,
-the first finding each entry's row through a list.  For T of shape lambda
-and m 2-cycles the insertion visits (n(lambda) + m) / 2 rows and the peel
-(n(lambda) - m) / 2, where n(lambda) = sum_i (i-1) lambda_i; the general
-correspondence visits n(lambda) + n and n(lambda).
+The bumping loops take nearly all of f's time.  In a standard tableau the
+rows of one box are the bottom of the first column, increasing downward,
+so ``_bump``, ``_shape_within`` and the peel keep the rows of two or more
+boxes as lists above a ``collections.deque`` of those entries, the tail.
+A carry that passes the last list row joins the tail's first row, which
+becomes a two-box list row, if it is larger; otherwise it pushes every
+one-box row down one, ``tail.appendleft(x)``.  Backwards, the largest
+entry left ends the tail when it is ``tail[-1]``, and a reverse bump up the
+tail moves every one-box row up one and ejects the first, ``x =
+tail.popleft()``; a list row left with one box joins the tail's front.  A
+bump then visits only the list rows, at most lambda'_2 of them for a
+tableau of shape lambda, the length of its second column.  ``_bump`` is the
+forward loop of ``row_insert`` and of the involution insertion, which
+calls it once per 2-cycle.  ``rsk`` and ``inverse_rsk`` keep plain list
+rows, and so stay an independent reference for the tail: ``rsk`` runs the
+forward loop inline over (P row, Q row) pairs, so no entry pays for a call
+and the Q row is at hand where the P row is appended to, and
+``inverse_rsk`` reverse-bumps inline, finding each entry's row through a
+list.  For T of shape lambda and m 2-cycles the insertion visits at most
+(n(lambda) + m) / 2 rows and the peel (n(lambda) - m) / 2, where n(lambda)
+= sum_i (i-1) lambda_i, and each at most lambda'_2 rows a 2-cycle; the
+general correspondence visits n(lambda) + n and n(lambda), tail or not.
+So the decreasing word, a column, inserts in linear time, and a tall
+tableau with few list rows in about n * lambda'_2 visits.  The two-column
+shape has no tail, and ``rsk`` and ``inverse_rsk`` none at all: on tall
+tableaux those stay quadratic.
 
 Every tableau and permutation returned here holds only the caller's int
 objects, never a new int: P, T and the peeled or reverse-bumped outputs
@@ -37,13 +54,14 @@ int costs 28 bytes past 256, more than the 8-byte slot that holds it, so
 a caller that keeps many results keeps about 17 bytes an entry of an
 ``rsk`` pair instead of 45.
 
-The peel of T^T is quadratic in n for the wide, short T of an involution
-with many fixed points, whose transpose is tall.  Schuetzenberger's
-reversal/evacuation theorem (Knuth, TAOCP vol. 3, 5.1.4) gives the same
-image from T itself: for w = f(q), P(w^r) = P(w)^T = T and Q(w^r) =
-evac(Q(w))^T = evac(T) = P(q#), where q#(i) = n+1 - q(n+1-i) is the
-reverse-complement of q.  ``f_involution`` takes whichever route costs
-less, by a rule read off lambda.
+The peel of T^T bumps through its list rows, lambda_2 of them, the length
+of T's second row; that is many for the wide, short T of an involution
+with many fixed points.  Schuetzenberger's reversal/evacuation theorem
+(Knuth, TAOCP vol. 3, 5.1.4) gives the same image from T itself: for w =
+f(q), P(w^r) = P(w)^T = T and Q(w^r) = evac(Q(w))^T = evac(T) = P(q#),
+where q#(i) = n+1 - q(n+1-i) is the reverse-complement of q.
+``f_involution`` takes whichever route costs less, by a rule read off
+lambda.
 
 By Greene's theorem the first k rows of P(p) hold as many entries as the
 longest k-increasing subsequence of p, so GFK-tightness (the k longest
@@ -51,14 +69,21 @@ jogs realize that length for every k) is the statement that the jog
 lengths, longest first, are the row lengths of P(p).  A tight P(p) has as
 many rows as p has jogs, and P(p^r) = P(p)^T as many as p's longest jog,
 so ``is_gfk_tight`` inserts whichever of p and p^r needs fewer rows, P
-only, and stops at the first entry that lands past that count: at most
-n * min(jogs, longest jog) row visits, linear when either is bounded.
-The paper's theorem is not used: verify's ``tight-vs-transposed-layer``
-and ``direct-gfk`` rows check it against ``rsinv.greene``'s oracle.
+only, and stops at the first entry that lands past that count.  Each entry
+visits only the list rows: at most n * min(jogs, longest jog, mu'_2) row
+visits, mu the shape inserted up to the stop.  That is linear when any of
+the three is bounded, as on a hook with arm and leg near n/2, where mu'_2
+is 1.  The paper's theorem is not used: verify's
+``tight-vs-transposed-layer`` and ``direct-gfk`` rows check it against
+``rsinv.greene``'s oracle.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import deque
+from itertools import count, repeat
+from math import comb
+from operator import mul
 from typing import Sequence
 
 from . import tableaux
@@ -74,28 +99,39 @@ from .permutations import (
 from .tableaux import Tableau
 
 
-def _bump(rows: list[list[int]], x: int) -> int:
-    # Schensted bumping; returns the 0-based row where an append happened.
+def _joined(rows: list[list[int]], tail: deque[int]) -> Tableau:
+    return (*map(tuple, rows), *zip(tail))
+
+
+def _bump(rows: list[list[int]], tail: deque[int], x: int) -> int:
+    # Schensted bumping through the list rows, then the tail below them
+    # (module docstring; any row may be a list row); returns the 0-based
+    # row where an append happened.
     r = 0
-    while r < len(rows):
-        row = rows[r]
+    for row in rows:
         j = bisect_right(row, x)
         if j == len(row):
             row.append(x)
             return r
         row[j], x = x, row[j]
         r += 1
-    rows.append([x])
-    return r
+    # Past the list rows, x joins the first one-box row if it is larger,
+    # or else pushes every one-box row down one row.
+    if tail and tail[0] < x:
+        rows.append([tail.popleft(), x])
+        return r
+    tail.appendleft(x)
+    return r + len(tail) - 1
 
 
 def _shape_within(w: Sequence[int], most: int) -> tuple[int, ...] | None:
     # P(w)'s row lengths, or None once an entry lands below row `most`.
     rows: list[list[int]] = []
+    tail: deque[int] = deque()
     for x in w:
-        if _bump(rows, x) == most:
+        if _bump(rows, tail, x) == most:
             return None
-    return tuple(map(len, rows))
+    return tuple(map(len, rows)) + (1,) * len(tail)
 
 
 def row_insert(t: Sequence[Sequence[int]], x: int) -> tuple[Tableau, int]:
@@ -112,8 +148,9 @@ def row_insert(t: Sequence[Sequence[int]], x: int) -> tuple[Tableau, int]:
     if any(x in row for row in t):
         raise DuplicateEntry(f"entry {x} already present")
     rows = [list(row) for row in t]
-    landing = _bump(rows, x)
-    return tableaux.as_tableau(rows), landing + 1
+    tail: deque[int] = deque()
+    landing = _bump(rows, tail, x)
+    return _joined(rows, tail), landing + 1
 
 
 def rsk(p: Sequence[int]) -> tuple[Tableau, Tableau]:
@@ -185,45 +222,81 @@ def _inverse_rsk(p_tab: Tableau, q_tab: Tableau) -> Perm:
 def _involution_tableau(q: Perm) -> Tableau:
     # Beissinger's insertion (module docstring).
     rows: list[list[int]] = []
+    tail: deque[int] = deque()
     for j, i in enumerate(q, start=1):
         if i > j:
             continue  # i is inserted when its partner comes
-        r = 0 if i == j else _bump(rows, i) + 1
+        r = 0 if i == j else _bump(rows, tail, i) + 1
         # q[i - 1] is j as q's own int object, not a fresh one from the
         # counter: f's image keeps the entries, and a caller holding many
         # images would otherwise hold one more int per entry.
-        if r == len(rows):
-            rows.append([q[i - 1]])
-        else:
+        if r < len(rows):
             rows[r].append(q[i - 1])
-    return tableaux.as_tableau(rows)
+        elif r == len(rows) and tail:
+            rows.append([tail.popleft(), q[i - 1]])
+        else:
+            tail.append(q[i - 1])  # a new last row
+    return _joined(rows, tail)
 
 
-def _peel(s: Tableau) -> Perm:
-    # The involution whose tableau is the standard tableau s: Beissinger's
-    # insertion run backwards (module docstring).
-    n = tableaux.size(s)
-    rows = [list(row) for row in s]
-    row_of = tableaux._row_index(s)
+def _transposed(t: Tableau) -> tuple[list[list[int]], deque[int]]:
+    # T^T as list rows over a tail, for the peel: its rows of two or more
+    # boxes are T's first lambda_2 columns, its one-box rows the rest of
+    # T's first row.  Built directly, not through tableaux.transpose, whose
+    # tuples the peel would copy back into lists.
+    columns: list[list[int]] = [[] for _ in t[1]] if len(t) > 1 else []
+    for row in t:
+        for column, x in zip(columns, row):
+            column.append(x)
+    return columns, deque(t[0][len(columns):] if t else ())
+
+
+def _peel(rows: list[list[int]], tail: deque[int]) -> Perm:
+    # The involution whose standard tableau is the list rows `rows` over
+    # the one-box rows `tail`, both used up: Beissinger's insertion run
+    # backwards (module docstring).
+    n = sum(map(len, rows)) + len(tail)
+    # Reverse bumps only move entries up, so an entry's first row is a
+    # bound to search up from; the tail's entries search from the last
+    # list row.
+    row_of = [len(rows)] * (n + 1)
+    for r, row in enumerate(rows):
+        for v in row:
+            row_of[v] = r
     out = [0] * n
     for j in range(n, 0, -1):
         if out[j - 1]:
             continue  # ejected earlier as a larger entry's partner
-        # Reverse bumps only move entries up, so row_of[j] is a bound to
-        # search up from; the largest entry left ends its row.
-        r = row_of[j]
-        while not rows[r] or rows[r][-1] != j:
-            r -= 1
-        top = rows[r].pop()  # j, as s's own int object
+        if tail and tail[-1] == j:
+            top = tail.pop()  # j, as the tableau's own int object
+            r = len(rows) + len(tail)
+        else:
+            # the largest entry left ends its row
+            r = row_of[j]
+            if r >= len(rows):
+                r = len(rows) - 1
+            while rows[r][-1] != j:
+                r -= 1
+            top = rows[r].pop()
+            if len(rows[r]) == 1:  # only the last list row can drop to one box
+                tail.appendleft(rows.pop()[0])
         if r == 0:
             out[j - 1] = top
+            continue
+        # Reverse bump the end of the row above, as in inverse_rsk.  Up the
+        # tail that moves each one-box row up one and ejects its first.
+        if r > len(rows):
+            i = tail.popleft()
+            above = rows
         else:
-            # Reverse bump the end of the row above, as in inverse_rsk.
             i = rows[r - 1].pop()
-            for row in reversed(rows[: r - 1]):
-                c = bisect_left(row, i) - 1
-                row[c], i = i, row[c]
-            out[j - 1], out[i - 1] = i, top
+            if len(rows[r - 1]) == 1:
+                tail.appendleft(rows.pop()[0])
+            above = rows[: r - 1]
+        for row in reversed(above):
+            c = bisect_left(row, i) - 1
+            row[c], i = i, row[c]
+        out[j - 1], out[i - 1] = i, top
     return tuple(out)
 
 
@@ -245,12 +318,23 @@ def f_involution(p: Sequence[int]) -> Perm:
 
     The same image is the reverse of inverse_rsk((T, P(p#))), p# the
     reverse-complement of p (see the module docstring).  With lambda the
-    shape of T, the peel of T^T visits about n(lambda^T) / 2 rows; the
-    other route visits about n(lambda) / 2 to insert p# and n(lambda) to
-    reverse bump T, and does more per entry (a second tableau to build, a
+    shape of T, the peel of T^T reverse bumps an entry leaving row i of
+    T^T through at most min(i - 1, lambda_2) list rows.  Summed down the
+    columns of T^T, the rows of T, that is at most
+    sum_i C(min(lambda_i, lambda_2), 2) + (lambda_1 - lambda_2) * lambda_2,
+    as only the first row of T is longer than lambda_2: n(lambda^T) less
+    C(lambda_1 - lambda_2, 2) for the one-box rows of T^T, which the tail
+    passes without a visit.  The other route
+    visits about n(lambda) / 2 rows to insert p# and n(lambda) to reverse
+    bump T, and does more per entry (a second tableau to build, a
     recording tableau to index).  The evacuation route is taken when
-    3 n(lambda) + 10 n < n(lambda^T), a rule fitted to timings of both
-    routes at n = 10^3 to 3 * 10^4 and read off the shape in O(rows).
+    3 n(lambda) + 10 n is below that bound, a rule read off the shape in
+    O(rows).  It was fitted to timings of both routes on seeded
+    involutions and their f images: n = 10^3, 2 * 10^3, 4 * 10^3, 10^4
+    and 3 * 10^4 at 5% to 100% of the entries in 2-cycles, and n = 10^5 at
+    20% to 100%, 138 inputs.  It takes the slower route on 6 of them,
+    between 30% and 60% paired where the two are close: by at most 1.19
+    times, and by 1.9 times (1 ms) at n = 10^3 and 5% paired.
 
     >>> f_involution((2, 1, 5, 4, 3, 9, 8, 7, 6))
     (6, 7, 3, 4, 8, 1, 2, 5, 9)
@@ -259,12 +343,13 @@ def f_involution(p: Sequence[int]) -> Perm:
     n = len(q)
     t = _involution_tableau(q)
     lam = tableaux.shape(t)
-    n_lam = sum(i * length for i, length in enumerate(lam))
-    n_lam_transposed = sum(length * (length - 1) // 2 for length in lam)
-    if 3 * n_lam + 10 * n < n_lam_transposed:
+    n_lam = sum(map(mul, count(), lam))
+    n_lam_transposed = sum(map(comb, lam, repeat(2)))
+    overhang = lam[0] - lam[1] if len(lam) > 1 else n  # T^T's one-box rows
+    if 3 * n_lam + 10 * n < n_lam_transposed - comb(overhang, 2):
         q_sharp = tuple(n + 1 - x for x in reversed(q))
         return reverse(_inverse_rsk(t, _involution_tableau(q_sharp)))
-    return _peel(tableaux.transpose(t))
+    return _peel(*_transposed(t))
 
 
 def is_gfk_tight(p: Sequence[int]) -> bool:
@@ -272,7 +357,9 @@ def is_gfk_tight(p: Sequence[int]) -> bool:
     True iff for every k the k longest jogs of p jointly realize the
     longest k-increasing subsequence length: by Greene's theorem, iff the
     jog lengths, longest first, are the row lengths of P(p), read from
-    the side of p or its reverse with fewer rows (module docstring).
+    the side of p or its reverse with fewer rows (module docstring), in at
+    most n * min(jogs, longest jog, mu'_2) row visits, mu the shape
+    inserted.
 
     >>> is_gfk_tight((6, 7, 3, 4, 8, 1, 2, 5, 9)), is_gfk_tight((1, 3, 4, 2))
     (True, False)

@@ -113,13 +113,13 @@ def test_f_method_all_inserts_each_involution_once(capsys, monkeypatch):
     # f inserts q once: one bump per 2-cycle of q, plus one per 2-cycle of
     # q# when it takes the evacuation route.  The GFK-tightness precondition
     # of direct-gfk then inserts the short side, each entry once, up to its
-    # row count: q itself for both, as 3 jogs <= a longest of 4 and 2 <= 29.
-    # The general rsk is never called.
+    # row count: q itself for all three, as 3 jogs <= a longest of 4,
+    # 2 <= 29 and 2 <= 30.  The general rsk is never called.
     bumped = []
 
-    def bump(rows, x):
+    def bump(rows, tail, x):
         bumped.append(x)
-        return real_bump(rows, x)
+        return real_bump(rows, tail, x)
 
     def general_rsk(p):
         raise AssertionError(f"general rsk called on {p}")
@@ -127,14 +127,16 @@ def test_f_method_all_inserts_each_involution_once(capsys, monkeypatch):
     real_bump = insertion._bump
     monkeypatch.setattr(insertion, "_bump", bump)
     monkeypatch.setattr(insertion, "rsk", general_rsk)
-    wide = (2, 1, *range(3, 31))  # T of shape (29, 1): the evacuation route
+    wide = (2, 1, *range(3, 31))  # T of shape (29, 1): T^T is nearly all tail, so the peel
+    square = (*range(31, 61), *range(1, 31))  # T of shape (30, 30), q# = q: evacuation
     for q, image, inserted in [
         (
             (6, 7, 3, 4, 8, 1, 2, 5, 9),
             (2, 1, 5, 4, 3, 9, 8, 7, 6),
             [1, 2, 5, 6, 7, 3, 4, 8, 1, 2, 5, 9],
         ),
-        (wide, (1, *range(30, 1, -1)), [1, 29, *wide]),
+        (wide, (1, *range(30, 1, -1)), [1, *wide]),
+        (square, (*range(30, 0, -1), *range(60, 30, -1)), [*range(1, 31), *range(1, 31), *square]),
     ]:
         bumped.clear()
         assert run(["f", format_permutation(q), "--method", "all"]) == 0

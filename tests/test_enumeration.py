@@ -21,9 +21,9 @@ from rsinv.enumeration import (
     verify_bounds,
 )
 from rsinv.errors import InstanceTooLarge
-from rsinv.insertion import _inverse_rsk, _peel, f_involution, inverse_rsk, tableau_of_involution
+from rsinv.insertion import _inverse_rsk, _peel, _transposed, f_involution, inverse_rsk, tableau_of_involution
 from rsinv.permutations import is_involution, is_layered, reverse
-from rsinv.tableaux import is_layered_tableau, shape, transpose, validate
+from rsinv.tableaux import is_layered_tableau, shape, validate
 from rsinv.verify import CHECKS, INSTANCE_BUDGET, brute_count_general, count_A_by_partitions
 
 
@@ -191,7 +191,7 @@ def test_layered_tableau_of_each_composition():
             evacuated = layered_tableau(c[::-1])
             assert evacuated == tableau_of_involution(sharp), c
             image = f_involution(w)
-            assert _peel(transpose(t)) == reverse(_inverse_rsk(t, evacuated)) == image, c
+            assert _peel(*_transposed(t)) == reverse(_inverse_rsk(t, evacuated)) == image, c
 
 
 def test_generalized_layered_matches_grouping_by_shape():

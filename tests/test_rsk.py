@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from functools import partial
+from itertools import permutations
 
 import pytest
 
@@ -117,10 +118,15 @@ def seeded_composition(seed, n, most):
     return parts
 
 
+def peel(s):
+    # insertion._peel of the standard tableau s: s is s^T transposed
+    return insertion._peel(*insertion._transposed(transpose(s)))
+
+
 def both_routes(t, evacuated):
     # the two routes of insertion.f_involution, each run directly: the peel
     # of t^T, and the reverse of inverse_rsk((t, evac(t)))
-    return insertion._peel(transpose(t)), reverse(insertion._inverse_rsk(t, evacuated))
+    return insertion._peel(*insertion._transposed(t)), reverse(insertion._inverse_rsk(t, evacuated))
 
 
 def reverse_complement(q):
@@ -132,7 +138,7 @@ def assert_both_routes_are_f(q):
     # involution inverse_rsk((S, S))
     t = rsk(q)[0]
     assert tableau_of_involution(q) == t, q
-    assert insertion._peel(t) == q, q
+    assert peel(t) == q, q
     # f's definition: reverse bump the transposed tableau against itself
     flipped = transpose(t)
     image = inverse_rsk((flipped, flipped))
@@ -154,8 +160,9 @@ def test_f_routes_agree_on_all_involutions_up_to_9():
 
 def seeded_tight(most):
     # f of a layered permutation is GFK-tight; on its layered tableau, f's
-    # route rule picks the evacuation route with parts of at most 1 or 3,
-    # the peel with 40 or 400, and both routes give f(layered(c))
+    # route rule picks the evacuation route with parts of at most 3, and
+    # the peel with at most 1 (one row, whose transpose is all tail), 40 or
+    # 400; both routes give f(layered(c))
     c = seeded_composition(7, 2003, most)
     t = layered_tableau(c)
     q = f_involution(layered_from_composition(c))
@@ -197,7 +204,10 @@ def test_f_route_follows_the_shape(monkeypatch):
     f_involution(seeded_involution(7, 2003, 0.2))
     # no fixed points: T is near square, and evacuation costs one more insertion
     f_involution(seeded_involution(7, 2003, 1.0))
-    assert taken == ["_inverse_rsk", "_peel"]
+    # 70% paired: T^T has only lambda_2 rows of two or more boxes to bump
+    # through, fewer than the rows evacuation reverse bumps T through
+    f_involution(seeded_involution(7, 2003, 0.7))
+    assert taken == ["_inverse_rsk", "_peel", "_peel"]
 
 
 def test_tableaux_the_library_built_are_not_checked_again(monkeypatch):
@@ -254,7 +264,64 @@ def test_bump_kernels_agree_on_large_seeded_words(kind):
     if kind.startswith("paired"):
         t = tableau_of_involution(p)
         for s in (t, transpose(t)):
-            assert insertion._peel(s) == inverse_rsk((s, s))
+            assert peel(s) == inverse_rsk((s, s))
+
+
+def two_columns(n):
+    # f of the two-row involution with every entry in a 2-cycle, (n-1, n,
+    # n-3, n-2, ..., 1, 2): two columns of n/2, no one-box row for the tail
+    return tuple(x for i in range(n - 1, 0, -2) for x in (i, i + 1))
+
+
+def hook(n):
+    # g(c) = f(layered(c)) with c = (n/2, 1, ..., 1), 1 ... n/2-1 followed
+    # by n ... n/2: a hook with arm and leg near n/2, so one list row
+    m = n // 2
+    return (*range(1, m), *range(n, m - 1, -1))
+
+
+TALL_INVOLUTIONS = {
+    "decreasing": lambda: decreasing(2000),
+    "f-of-paired-0.2": lambda: f_involution(seeded_involution(5, 2000, 0.2)),
+    "hook": lambda: hook(2000),
+    "two-columns": lambda: two_columns(2000),
+    "paired-0.7": lambda: seeded_involution(5, 2000, 0.7),
+}
+
+
+def assert_tail_kernels_are_the_list_loops(q):
+    # The list rows over a deque tail, forward and back, against rsk's
+    # inline list loop and inverse_rsk's, which keep no tail; returns T.
+    # As T == P(q) == Q(q), inverse_rsk((T, T)) is q itself.
+    t = insertion._involution_tableau(q)
+    assert t == rsk(q)[0], q
+    assert peel(t) == q, q
+    flipped = transpose(t)
+    assert peel(flipped) == insertion._inverse_rsk(flipped, flipped), q
+    return t
+
+
+def test_tail_kernels_agree_with_the_list_loops_exhaustively():
+    # every involution with n <= 10: those with n <= 9 are compared in
+    # test_f_routes_agree_on_all_involutions_up_to_9
+    for q in involutions(10):
+        assert_tail_kernels_are_the_list_loops(q)
+    # the capped insertion at every cap up to the row count, past which the
+    # cap never binds
+    for n in range(9):
+        for p in permutations(range(1, n + 1)):
+            lengths = shape(rsk(p)[0])
+            for most in range(len(lengths) + 1):
+                expected = lengths if most == len(lengths) else None
+                assert insertion._shape_within(p, most) == expected, (p, most)
+
+
+@pytest.mark.parametrize("kind", TALL_INVOLUTIONS)
+def test_tail_kernels_agree_with_the_list_loops_on_tall_tableaux(kind):
+    q = TALL_INVOLUTIONS[kind]()
+    lengths = shape(assert_tail_kernels_are_the_list_loops(q))
+    assert insertion._shape_within(q, len(lengths)) == lengths
+    assert insertion._shape_within(q, len(lengths) - 1) is None
 
 
 def entries(x):
