@@ -59,38 +59,60 @@ def validate(t: Sequence[Sequence[int]]) -> bool:
     lengths, entries exactly 1..n, rows and columns strictly increasing.
     Returns False on any violation instead of raising, so it can screen
     untrusted input.  Each check is one C-level scan (``map`` over
-    ``operator``), and each relies on the ones before it: the shape is
-    checked before the entries are sorted, and the entries are 1..n before
-    rows and columns are compared.  An entry that is not an integer, such
-    as None, "a" or 2.0, is a violation too; a bool counts as 0 or 1.
+    ``operator``), and each relies on the ones before it: the entries are
+    1..n before rows and columns are compared.  An entry that is not an
+    integer, such as None, "a" or 2.0, is a violation too; a bool counts as
+    0 or 1.
     """
     try:
         rows = [list(row) for row in t]
-    except TypeError:  # t or one of its rows is not iterable
-        return False
-    lengths = [len(row) for row in rows]
-    if not all(lengths) or not all(map(ge, lengths, lengths[1:])):
-        return False
-    try:
         entries = sorted(map(index, chain.from_iterable(rows)))
-    except TypeError:
+    except TypeError:  # not iterable, or an entry that is not an integer
         return False
-    if entries != list(range(1, sum(lengths) + 1)):
-        return False
-    return all(all(map(lt, row, row[1:])) for row in rows) and all(
-        all(map(lt, upper, lower)) for upper, lower in zip(rows, rows[1:])
+    return entries == list(range(1, len(entries) + 1)) and _is_partial(rows)
+
+
+def _is_partial(rows: list[list[int]]) -> bool:
+    # Positive, weakly decreasing row lengths, and rows and columns of
+    # integers strictly increasing.
+    lengths = [len(row) for row in rows]
+    return (
+        all(lengths)
+        and all(map(ge, lengths, lengths[1:]))
+        and all(all(map(lt, row, row[1:])) for row in rows)
+        and all(all(map(lt, upper, lower)) for upper, lower in zip(rows, rows[1:]))
     )
 
 
 def check_tableau(t: Sequence[Sequence[int]]) -> Tableau:
     """t as a tableau; raises InvalidTableau unless it is a standard Young
-    tableau.  This is the one place that refusal is raised."""
+    tableau.  This and check_partial_tableau are the only places that
+    refusal is raised."""
     try:
         tab = as_tableau(t)
     except TypeError:  # t or one of its rows is not iterable
         raise InvalidTableau(f"not a standard Young tableau: {t!r}") from None
     if not validate(tab):
         raise InvalidTableau(f"not a standard Young tableau: {tab}")
+    return tab
+
+
+def check_partial_tableau(t: Sequence[Sequence[int]]) -> Tableau:
+    """
+    t as a tableau; raises InvalidTableau unless it is a partial standard
+    tableau: distinct integer entries, any set of them, with rows and
+    columns strictly increasing and row lengths weakly decreasing.
+
+    >>> check_partial_tableau(((2, 7), (5,)))
+    ((2, 7), (5,))
+    """
+    try:
+        tab = as_tableau(t)
+        rows = [list(map(index, row)) for row in tab]
+    except TypeError:  # not iterable, or an entry that is not an integer
+        raise InvalidTableau(f"not a partial standard tableau: {t!r}") from None
+    if len(set(chain.from_iterable(rows))) != size(rows) or not _is_partial(rows):
+        raise InvalidTableau(f"not a partial standard tableau: {tab}")
     return tab
 
 

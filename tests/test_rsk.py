@@ -13,7 +13,7 @@ from rsinv.errors import (
     NotInvolution,
     ShapeMismatch,
 )
-from rsinv.permutations import decreasing, identity, jog_lengths, reverse
+from rsinv.permutations import decreasing, identity, inverse, jog_lengths, reverse
 from rsinv.insertion import (
     f_involution,
     inverse_rsk,
@@ -40,6 +40,15 @@ def test_row_insert():
 def test_row_insert_duplicate():
     with pytest.raises(DuplicateEntry):
         row_insert(((1, 3), (2,)), 3)
+
+
+def test_row_insert_refuses_rows_that_are_not_a_partial_tableau():
+    # a decreasing row, a decreasing column, a repeated entry, an empty row
+    for rows, x in ((((2, 1),), 3), (((3,), (1,)), 2), (((1, 3), (3,)), 2), (((1,), ()), 2)):
+        with pytest.raises(InvalidTableau):
+            row_insert(rows, x)
+    # any set of distinct entries is allowed
+    assert row_insert(((2, 7), (5,)), 3) == (((2, 3), (5, 7)), 2)
 
 
 def test_rsk_worked_examples():
@@ -322,6 +331,31 @@ def test_tail_kernels_agree_with_the_list_loops_on_tall_tableaux(kind):
     lengths = shape(assert_tail_kernels_are_the_list_loops(q))
     assert insertion._shape_within(q, len(lengths)) == lengths
     assert insertion._shape_within(q, len(lengths) - 1) is None
+
+
+SCALE_WORDS = {
+    "random": lambda: tuple(random.Random(11).sample(range(1, 2001), 2000)),
+    "reversed": lambda: reverse(random.Random(11).sample(range(1, 2001), 2000)),
+    "hook": lambda: hook(2000),
+    "two-columns": lambda: two_columns(2000),
+    "paired-0.7": lambda: seeded_involution(11, 2000, 0.7),
+}
+
+
+@pytest.mark.parametrize("kind", SCALE_WORDS)
+def test_reverse_bumps_invert_the_forward_loop_at_scale(kind):
+    # Each reverse bump searches a row from right of the column the carried
+    # entry left; rsk's forward loop searches every row from column 0, so it
+    # stays the reference.  On the involutions, the peel of T^T is f(q),
+    # whose tableau must be T^T.
+    p = SCALE_WORDS[kind]()
+    pair = rsk(p)
+    assert inverse_rsk(pair) == p
+    if p == inverse(p):
+        flipped = transpose(pair[0])
+        image = insertion._peel(*insertion._transposed(pair[0]))
+        assert image == f_involution(p)
+        assert rsk(image) == (flipped, flipped)
 
 
 def entries(x):

@@ -232,6 +232,26 @@ def test_no_public_function_trusts_its_input():
                 assert answer is not True, (name, rows)
 
 
+def test_no_two_argument_public_function_trusts_its_input():
+    # The same modules' functions of two arguments, given rows that are not
+    # even a partial standard tableau (a repeated entry, nested rows, a row
+    # or a column that decreases) in either place, and an entry in the
+    # other: each refuses, as an answer built on such rows means nothing.
+    called = set()
+    for module in (tableaux, insertion, permutations):
+        for name, function in vars(module).items():
+            if name.startswith("_") or getattr(function, "__module__", "") != module.__name__:
+                continue
+            if not inspect.isfunction(function) or len(inspect.signature(function).parameters) != 2:
+                continue
+            called.add(name)
+            for rows in (((1, 2), (2,)), (((1,),), ((2,),)), ((2, 1),), ((3,), (1,))):
+                for args in ((rows, 4), (4, rows)):
+                    with pytest.raises((DomainError, TypeError, AttributeError)):
+                        function(*args)
+    assert {"row_insert", "contains_pattern", "avoids"} <= called
+
+
 def _row_by_entry(t):
     return {v: r for r, row in enumerate(t, start=1) for v in row}
 
