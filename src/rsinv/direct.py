@@ -25,11 +25,11 @@ from .errors import (
 from .insertion import is_gfk_tight
 from .permutations import (
     Perm,
+    _jog_runs,
     check_involution,
     check_permutation,
     classify_entries,
     is_involution,
-    jogs,
     longest_decreasing,
     record_breakers,
     reverse,
@@ -70,7 +70,7 @@ def f_gfk_tight_direct(p: Sequence[int]) -> Perm:
     p = check_involution(p)
     if not is_gfk_tight(p):
         raise NotGfkTight(f"not GFK-tight: {p}")
-    return layered_from_composition([block.length for block in jogs(p)])
+    return layered_from_composition(_jog_runs(p))  # p is its own inverse
 
 
 def tableau_of_321_avoiding(p: Sequence[int]) -> Tableau:

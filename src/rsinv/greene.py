@@ -63,7 +63,7 @@ from operator import eq
 from typing import Sequence
 
 from .errors import InstanceTooLarge
-from .permutations import _jog_lengths_from_inverse, inverse, reverse
+from .permutations import _jog_runs, inverse, reverse
 
 #: largest n the subset oracle will accept
 ORACLE_CAP = 16
@@ -219,7 +219,9 @@ def longest_k_decreasing(p: Sequence[int], k: int) -> int:
 
 def _tight_against(profile: tuple[int, ...], lengths: list[int]) -> bool:
     # The sum of the k longest lengths is profile[k] for every k up to the
-    # number of lengths; map stops at the shorter of its two inputs.
+    # number of lengths; map stops at the shorter of its two inputs.  The
+    # lengths are a fresh list, from _jog_runs, so they are sorted in place.
+    lengths.sort(reverse=True)
     return all(map(eq, accumulate(lengths), profile[1:]))
 
 
@@ -230,7 +232,7 @@ def oracle_is_gfk_tight(p: Sequence[int]) -> bool:
     Beyond that k both sides equal n, so the quantifier stops there.
     """
     profile, inv = _profile_and_inverse(p)
-    return _tight_against(profile, _jog_lengths_from_inverse(inv))
+    return _tight_against(profile, _jog_runs(inv))
 
 
 def oracle_is_dually_gfk_tight(p: Sequence[int]) -> bool:
@@ -245,8 +247,8 @@ def oracle_is_gfk_tight_both_ways(p: Sequence[int]) -> bool:
     """oracle_is_gfk_tight of p and of p^-1, from one profile lookup: the
     jogs of p are read from p^-1, and those of p^-1 from p."""
     profile, inv = _profile_and_inverse(p)
-    return _tight_against(profile, _jog_lengths_from_inverse(inv)) and _tight_against(
-        profile, _jog_lengths_from_inverse(p)
+    return _tight_against(profile, _jog_runs(inv)) and _tight_against(
+        profile, _jog_runs(p)
     )
 
 

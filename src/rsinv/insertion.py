@@ -18,7 +18,10 @@ Run backwards this is a peel: the largest entry j left is a fixed point
 when it ends the first row; otherwise j is removed from the end of its
 row, and reverse bumping the last entry of the row above ejects j's
 partner from the first row.  ``tableau_of_involution`` is the insertion
-and f's last step is the peel.
+and f's last step is the peel.  The peel takes T itself, not T^T: the list
+rows of T^T are T's first lambda_2 columns, read by the column walk of
+``tableaux`` that ``transpose`` runs too, and its one-box rows are the
+rest of T's first row, which the peel puts in its tail.
 
 The bumping loops take nearly all of f's time.  In a standard tableau the
 rows of one box are the bottom of the first column, increasing downward,
@@ -257,23 +260,15 @@ def _involution_tableau(q: Perm) -> Tableau:
     return _joined(rows, tail)
 
 
-def _transposed(t: Tableau) -> tuple[list[list[int]], deque[int]]:
-    # T^T as list rows over a tail, for the peel: its rows of two or more
-    # boxes are T's first lambda_2 columns, its one-box rows the rest of
-    # T's first row.  Built directly, not through tableaux.transpose, whose
-    # tuples the peel would copy back into lists.
-    columns: list[list[int]] = [[] for _ in t[1]] if len(t) > 1 else []
-    for row in t:
-        for column, x in zip(columns, row):
-            column.append(x)
-    return columns, deque(t[0][len(columns):] if t else ())
-
-
-def _peel(rows: list[list[int]], tail: deque[int]) -> Perm:
-    # The involution whose standard tableau is the list rows `rows` over
-    # the one-box rows `tail`, both used up: Beissinger's insertion run
-    # backwards (module docstring).
-    n = sum(map(len, rows)) + len(tail)
+def _peel(t: Tableau) -> Perm:
+    # The involution whose standard tableau is T^T, for the standard
+    # tableau t = T: Beissinger's insertion run backwards (module
+    # docstring).  T^T's rows of two or more boxes are T's first lambda_2
+    # columns, taken as lists; its one-box rows, the tail, are the rest of
+    # T's first row.
+    rows = tableaux._columns(t, len(t[1]) if len(t) > 1 else 0)
+    tail = deque(t[0][len(rows):] if t else ())
+    n = sum(map(len, t))
     # Reverse bumps only move entries up, so an entry's first row is a
     # bound to search up from; the tail's entries search from the last
     # list row.
@@ -371,7 +366,7 @@ def f_involution(p: Sequence[int]) -> Perm:
     if 3 * n_lam + 10 * n < n_lam_transposed - comb(overhang, 2):
         q_sharp = tuple(n + 1 - x for x in reversed(q))
         return reverse(_inverse_rsk(t, _involution_tableau(q_sharp)))
-    return _peel(*_transposed(t))
+    return _peel(t)
 
 
 def is_gfk_tight(p: Sequence[int]) -> bool:

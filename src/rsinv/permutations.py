@@ -9,14 +9,21 @@ or (None, 1), the predicates answer False, ``inverse``, ``jogs``,
 ``layers`` NotLayered.
 ``reverse``, ``descent_set``, ``prefix_lds_lengths``, ``longest_decreasing``
 and ``record_breakers`` take any integer word.
+
+The jogs of p are the ascending runs of p^-1, and one loop, ``_jog_runs``,
+counts their lengths for every reader: ``jogs`` turns the counts into
+intervals, ``jog_lengths`` sorts them, and the subset oracle, ``verify``
+and ``direct.f_gfk_tight_direct`` read them from an inverse they hold
+already (an involution is its own).  Each reader gets a fresh list, so the
+ones that want the longest first sort it in place.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from functools import cache
-from itertools import compress, count, permutations as _permutations
+from itertools import accumulate, permutations as _permutations
 from math import comb, inf
-from operator import gt, index
+from operator import index
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -48,10 +55,6 @@ class Interval(NamedTuple):
 
     lo: int
     hi: int
-
-    @property
-    def length(self) -> int:
-        return self.hi - self.lo + 1
 
     def values(self) -> range:
         return range(self.lo, self.hi + 1)
@@ -224,14 +227,22 @@ def descent_set(p: Sequence[int]) -> set[int]:
     return {i + 1 for i in range(len(p) - 1) if p[i] > p[i + 1]}
 
 
-def _jog_ends(pos: Sequence[int]) -> list[int]:
-    # The largest value of each jog of p, in increasing order, read from
-    # pos = p^-1: v ends a jog exactly when v+1 precedes v in p, a descent
-    # of pos, and n ends the last one.
-    ends = list(compress(count(1), map(gt, pos, pos[1:])))
-    if pos:
-        ends.append(len(pos))
-    return ends
+def _jog_runs(pos: Sequence[int]) -> list[int]:
+    # The lengths of the ascending runs of pos, in order; pos is not
+    # checked.  Read as pos = p^-1 they are the lengths of p's jogs, lowest
+    # values first: v and v+1 share a jog exactly when v precedes v+1 in p,
+    # an ascent of pos.  A fresh list, which a caller may sort in place.
+    runs = []
+    run = last = 0
+    for q in pos:
+        if q < last:
+            runs.append(run)
+            run = 0
+        run += 1
+        last = q
+    if run:
+        runs.append(run)
+    return runs
 
 
 def jogs(p: Sequence[int]) -> list[Interval]:
@@ -243,8 +254,8 @@ def jogs(p: Sequence[int]) -> list[Interval]:
     >>> jogs((3, 6, 1, 4, 7, 2, 5))
     [Interval(lo=1, hi=2), Interval(lo=3, hi=5), Interval(lo=6, hi=7)]
     """
-    ends = _jog_ends(inverse(p))
-    return [Interval(lo + 1, hi) for lo, hi in zip([0] + ends, ends)]
+    runs = _jog_runs(inverse(p))
+    return [Interval(hi - run + 1, hi) for run, hi in zip(runs, accumulate(runs))]
 
 
 def jog_lengths(p: Sequence[int]) -> list[int]:
@@ -255,24 +266,7 @@ def jog_lengths(p: Sequence[int]) -> list[int]:
     >>> jog_lengths((3, 6, 1, 4, 7, 2, 5))
     [3, 2, 2]
     """
-    return _jog_lengths_from_inverse(inverse(p))
-
-
-def _jog_lengths_from_inverse(pos: Sequence[int]) -> list[int]:
-    # jog_lengths of the permutation whose inverse is pos, read from pos
-    # alone, for a caller that holds p^-1 already; pos is not checked.  A
-    # jog is an ascending run of pos: one pass counts the runs' lengths, and
-    # the sort puts the longest first.
-    lengths = []
-    run = last = 0
-    for q in pos:
-        if q < last:
-            lengths.append(run)
-            run = 0
-        run += 1
-        last = q
-    if run:
-        lengths.append(run)
+    lengths = _jog_runs(inverse(p))
     lengths.sort(reverse=True)
     return lengths
 

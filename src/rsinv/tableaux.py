@@ -10,7 +10,8 @@ and ``tableau_descents`` raises InvalidTableau on them, so untrusted rows
 never reach a lookup that fails.  Each has a private core, its name with a
 leading underscore, which checks nothing: it is for a caller that built
 the tableau or checked it already, and on other rows its answer means
-nothing.
+nothing.  A public name runs its core on the tuple ``check_tableau``
+built, so rows given as an iterator are read once, by the check.
 """
 from __future__ import annotations
 
@@ -125,13 +126,17 @@ def transpose(t: Sequence[Sequence[int]]) -> Tableau:
     >>> transpose(((1, 3, 6), (2, 4, 7), (5, 8), (9,)))
     ((1, 2, 5, 9), (3, 4, 8), (6, 7))
     """
-    if not t:
-        return ()
-    columns: list[list[int]] = [[] for _ in t[0]]
+    return tuple(map(tuple, _columns(t, len(t[0]) if t else 0)))
+
+
+def _columns(t: Sequence[Sequence[int]], width: int) -> list[list[int]]:
+    # The first `width` columns of t as lists, top to bottom: each row adds
+    # its entries to the columns it reaches, so each entry is moved once.
+    # list.append returns None, so any() runs each map to its end, in C.
+    columns: list[list[int]] = [[] for _ in range(width)]
     for row in t:
-        for column, x in zip(columns, row):
-            column.append(x)
-    return tuple(map(tuple, columns))
+        any(map(list.append, columns, row))
+    return columns
 
 
 def layered_tableau(parts: Sequence[int]) -> Tableau:
@@ -183,7 +188,10 @@ def is_layered_tableau(t: Sequence[Sequence[int]]) -> bool:
     either in the row directly below i's row or in the top row.  Vacuously
     true on 0 or 1 boxes; False on anything validate rejects.
     """
-    return validate(t) and _is_layered_tableau(t)
+    try:
+        return _is_layered_tableau(check_tableau(t))
+    except InvalidTableau:
+        return False
 
 
 def _is_layered_tableau(t: Sequence[Sequence[int]]) -> bool:
@@ -205,7 +213,10 @@ def satisfies_transposed_layer(t: Sequence[Sequence[int]]) -> bool:
     column: the layered condition on the transpose.  False on anything
     validate rejects.
     """
-    return validate(t) and _satisfies_transposed_layer(t)
+    try:
+        return _satisfies_transposed_layer(check_tableau(t))
+    except InvalidTableau:
+        return False
 
 
 def _satisfies_transposed_layer(t: Sequence[Sequence[int]]) -> bool:

@@ -36,7 +36,7 @@ from . import direct, enumeration, greene, tableaux
 from .errors import DomainError, InstanceTooLarge
 from .insertion import f_involution, inverse_rsk, is_gfk_tight, rsk, tableau_of_involution
 from .permutations import (
-    _jog_lengths_from_inverse,
+    _jog_runs,
     all_permutations,
     contains_pattern,
     descent_set,
@@ -222,7 +222,9 @@ def _profile_monotone(p) -> bool:
 
 def _jog_lower_bound(p) -> bool:
     inc, inv = greene._profile_and_inverse(p)
-    return all(map(le, accumulate(_jog_lengths_from_inverse(inv)), inc[1:]))
+    lengths = _jog_runs(inv)
+    lengths.sort(reverse=True)
+    return all(map(le, accumulate(lengths), inc[1:]))
 
 
 def _layered_tableau_sets(n: int) -> bool:
@@ -374,7 +376,7 @@ SUITES: dict[str, list[Check]] = {
             "shape-jog-multisets",
             PERMUTATIONS,
             7,
-            lambda p: jog_lengths(p) == _jog_lengths_from_inverse(p)
+            lambda p: jog_lengths(p) == sorted(_jog_runs(p), reverse=True)
             == sorted(shape(rsk(p)[0]), reverse=True),
             where=greene.oracle_is_gfk_tight_both_ways,
         ),

@@ -22,7 +22,6 @@ from rsinv.greene import (
 )
 from rsinv.insertion import is_dually_gfk_tight, is_gfk_tight, rsk
 from rsinv.permutations import (
-    _jog_lengths_from_inverse,
     all_permutations,
     contains_pattern,
     decreasing,
@@ -311,8 +310,9 @@ def test_oracle_refuses_a_non_permutation():
 
 def test_one_inverse_gives_the_orbit_key_the_profile_and_the_jogs():
     # the key is exactly the least of the four images, and the inverse the
-    # helper returns gives jog_lengths(p); the profile is checked against
-    # the cached lookup at n <= 8 and the uncached programme at n = 12-16
+    # helper returns is p^-1, from whose runs the predicates read the jogs
+    # of p; the profile is checked against the cached lookup at n <= 8 and
+    # the uncached programme at n = 12-16
     for n in range(9):
         for p in all_permutations(n):
             q = inverse(p)
@@ -320,14 +320,12 @@ def test_one_inverse_gives_the_orbit_key_the_profile_and_the_jogs():
             assert _orbit_key(p, q) == min(p, q, rc, inverse(rc)), p
             profile, inv = greene._profile_and_inverse(p)
             assert inv == q and profile == k_increasing_profile(p), p
-            assert _jog_lengths_from_inverse(inv) == jog_lengths(p), p
     rng = random.Random(12)
     for n in range(12, 17):
         for _ in range(3):
             p = tuple(rng.sample(range(1, n + 1), n))
             profile, inv = greene._profile_and_inverse(p)
             assert profile == _subset_profile(p) and inv == inverse(p), p
-            assert _jog_lengths_from_inverse(inv) == jog_lengths(p), p
 
 
 def test_both_ways_predicates_equal_their_two_call_forms():

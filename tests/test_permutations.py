@@ -140,13 +140,29 @@ def test_reverse_jogs_examples():
     assert reverse_jogs(identity(4)) == intervals([(1, 1), (2, 2), (3, 3), (4, 4)])
 
 
+def _jogs_by_definition(p):
+    # i and i+1 share a jog exactly when i precedes i+1 in p
+    where = {v: i for i, v in enumerate(p)}
+    blocks = []
+    for v in range(1, len(p) + 1):
+        if v > 1 and where[v - 1] < where[v]:
+            blocks[-1].append(v)
+        else:
+            blocks.append([v])
+    return blocks
+
+
 def test_jog_lengths_are_the_jogs_lengths_longest_first():
+    # jogs and jog_lengths share one loop, so each is checked against the
+    # definition rather than against the other
     rng = random.Random(17)
     words = [p for n in range(8) for p in all_permutations(n)]
     words += [tuple(rng.sample(range(1, 2001), 2000)) for _ in range(3)]
     words += [(), identity(2000), decreasing(2000)]
     for p in words:
-        assert jog_lengths(p) == sorted((iv.length for iv in jogs(p)), reverse=True), p
+        blocks = _jogs_by_definition(p)
+        assert jogs(p) == [Interval(block[0], block[-1]) for block in blocks], p
+        assert jog_lengths(p) == sorted(map(len, blocks), reverse=True), p
     assert jog_lengths(identity(2000)) == [2000]
     assert jog_lengths(decreasing(2000)) == [1] * 2000
     assert jog_lengths((3, 6, 1, 4, 7, 2, 5)) == [3, 2, 2]

@@ -129,13 +129,13 @@ def seeded_composition(seed, n, most):
 
 def peel(s):
     # insertion._peel of the standard tableau s: s is s^T transposed
-    return insertion._peel(*insertion._transposed(transpose(s)))
+    return insertion._peel(transpose(s))
 
 
 def both_routes(t, evacuated):
     # the two routes of insertion.f_involution, each run directly: the peel
     # of t^T, and the reverse of inverse_rsk((t, evac(t)))
-    return insertion._peel(*insertion._transposed(t)), reverse(insertion._inverse_rsk(t, evacuated))
+    return insertion._peel(t), reverse(insertion._inverse_rsk(t, evacuated))
 
 
 def reverse_complement(q):
@@ -353,7 +353,7 @@ def test_reverse_bumps_invert_the_forward_loop_at_scale(kind):
     assert inverse_rsk(pair) == p
     if p == inverse(p):
         flipped = transpose(pair[0])
-        image = insertion._peel(*insertion._transposed(pair[0]))
+        image = insertion._peel(pair[0])
         assert image == f_involution(p)
         assert rsk(image) == (flipped, flipped)
 

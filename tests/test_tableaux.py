@@ -1,10 +1,11 @@
 import inspect
 import random
+from collections.abc import Iterator
 
 import pytest
 from hypothesis import given, strategies as st
 
-from rsinv import insertion, permutations, tableaux
+from rsinv import direct, enumeration, greene, insertion, permutations, tableaux, verify
 from rsinv.enumeration import layered_tableaux, standard_tableaux
 from rsinv.errors import DomainError, InvalidTableau
 from rsinv.insertion import inverse_rsk, rsk, tableau_of_involution
@@ -210,6 +211,10 @@ def test_tableau_predicates_refuse_what_validate_rejects():
     # a list of lists that is a tableau is read like the tuple form
     assert is_layered_tableau([[1, 3], [2]]) and satisfies_transposed_layer([[1, 2], [3]])
     assert tableau_descents([[1, 3], [2]]) == {1}
+    # rows read once: each core runs on the tuple the check built, not on
+    # an iterator the check has used up
+    assert not satisfies_transposed_layer(iter(((1, 2, 4), (3,))))
+    assert is_layered_tableau(map(tuple, [[1, 2], [3]]))
 
 
 def test_no_public_function_trusts_its_input():
@@ -218,14 +223,14 @@ def test_no_public_function_trusts_its_input():
     # of these modules refuses them (a DomainError, or a TypeError or
     # AttributeError for an argument of the wrong kind), or answers without
     # a lookup that fails, and none answers True.
-    for module in (tableaux, insertion, permutations):
+    for module in (tableaux, insertion, permutations, greene, enumeration, direct, verify):
         for name, function in vars(module).items():
             if name.startswith("_") or getattr(function, "__module__", "") != module.__name__:
                 continue
             for rows in (((1, 5),), ((1, 2), (2,)), (((1,),), ((2,),))):
                 try:
                     answer = function(rows)
-                    if inspect.isgenerator(answer):
+                    if isinstance(answer, Iterator):  # a generator, or a map
                         answer = list(answer)
                 except (DomainError, TypeError, AttributeError):
                     continue
