@@ -215,11 +215,15 @@ def _cmd_enumerate(args) -> int:
     generate, show = FAMILIES[args.family]
     n = _require_size(args.n)
     # Past sys.maxsize no sequence of n entries can be built, and a walk of
-    # range(n) would never end.
+    # range(n) would never end.  Below it, a member too large to hold fails
+    # to allocate: the size is refused as well.
     if n > sys.maxsize:
         raise DomainError(f"n must be at most {sys.maxsize}, got {n}")
-    for member in generate(n):
-        print(show(member))
+    try:
+        for member in generate(n):
+            print(show(member))
+    except (MemoryError, OverflowError):
+        raise DomainError(f"n={n} is too large: a member does not fit in memory") from None
     return 0
 
 

@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 from .errors import InstanceTooLarge
 from .insertion import _inverse_rsk
 from .permutations import Perm
-from .tableaux import Tableau, as_tableau, conjugate, layered_tableau
+from .tableaux import Tableau, _composition, as_tableau, conjugate, layered_tableau
 
 Partition = tuple[int, ...]
 Composition = tuple[int, ...]
@@ -180,7 +180,9 @@ def count_involutions(n: int) -> int:
 
 
 def layered_from_composition(parts: Sequence[int]) -> Perm:
-    """The layered permutation whose layer lengths are the given parts."""
+    """The layered permutation whose layer lengths are the given parts;
+    raises DomainError on a part below 1."""
+    parts = _composition(parts)
     out: list[int] = []
     base = 0
     for width in parts:

@@ -62,7 +62,7 @@ from itertools import accumulate
 from operator import eq
 from typing import Sequence
 
-from .errors import InstanceTooLarge
+from .errors import DomainError, InstanceTooLarge
 from .permutations import _jog_runs, inverse, reverse
 
 #: largest n the subset oracle will accept
@@ -208,7 +208,7 @@ def longest_k_increasing(p: Sequence[int], k: int) -> int:
     6
     """
     if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+        raise DomainError(f"k must be positive, got {k}")
     return k_increasing_profile(p)[min(k, len(p))]
 
 

@@ -102,12 +102,11 @@ from operator import index, mul
 from typing import Sequence
 
 from . import tableaux
-from .errors import DuplicateEntry, ShapeMismatch
+from .errors import DomainError, DuplicateEntry, ShapeMismatch
 from .permutations import (
     Perm,
     _check_in_value_order,
     check_involution,
-    check_permutation,
     jog_lengths,
     reverse,
 )
@@ -206,12 +205,14 @@ def inverse_rsk(pair: tuple[Sequence[Sequence[int]], Sequence[Sequence[int]]]) -
     The unique permutation p with rsk(p) == pair, obtained by reverse
     bumping the cells of P in decreasing order of Q's entries.  Raises
     InvalidTableau or ShapeMismatch unless the pair is two standard
-    tableaux of one shape.
+    tableaux of one shape, and DomainError unless it has two items.
 
     >>> inverse_rsk((((1, 2, 5, 9), (3, 4, 8), (6, 7)),) * 2)
     (6, 7, 3, 4, 8, 1, 2, 5, 9)
     """
-    p_tab, q_tab = (tableaux.check_tableau(t) for t in pair)
+    if len(pair) != 2:
+        raise DomainError(f"not a pair of tableaux: {len(pair)} items")
+    p_tab, q_tab = map(tableaux.check_tableau, pair)
     if tableaux.shape(p_tab) != tableaux.shape(q_tab):
         raise ShapeMismatch(
             f"shapes differ: {tableaux.shape(p_tab)} vs {tableaux.shape(q_tab)}"
@@ -381,8 +382,8 @@ def is_gfk_tight(p: Sequence[int]) -> bool:
     >>> is_gfk_tight((6, 7, 3, 4, 8, 1, 2, 5, 9)), is_gfk_tight((1, 3, 4, 2))
     (True, False)
     """
-    q = check_permutation(p)
-    lengths = tuple(jog_lengths(q))
+    q = tuple(p)
+    lengths = tuple(jog_lengths(q))  # inverse(q) refuses a word that is not a permutation
     if lengths and len(lengths) > lengths[0]:
         q, lengths = reverse(q), tableaux.conjugate(lengths)
     return _shape_within(q, len(lengths)) == lengths

@@ -6,7 +6,10 @@ throughout, the empty tuple is the length-0 permutation).  Results are
 plain tuples.  On a word that is not a permutation, such as (1, 1), (0, 1)
 or (None, 1), the predicates answer False, ``inverse``, ``jogs``,
 ``jog_lengths`` and ``reverse_jogs`` raise InvalidPermutation, and
-``layers`` NotLayered.
+``layers`` NotLayered.  ``is_involution`` and ``inverse`` each refuse
+every word that is not a permutation in their own single pass, so
+``check_involution`` decides with the first and ``insertion.is_gfk_tight``
+with the second, and neither sorts a word it accepts.
 ``reverse``, ``descent_set``, ``prefix_lds_lengths``, ``longest_decreasing``
 and ``record_breakers`` take any integer word.
 
@@ -197,9 +200,12 @@ def is_involution(p: Sequence[int]) -> bool:
 
 def check_involution(p: Sequence[int]) -> Perm:
     """Return p as a tuple, raising InvalidPermutation if it is not a
-    permutation and NotInvolution if it is not an involution."""
-    p = check_permutation(p)
+    permutation and NotInvolution if it is not an involution.  is_involution
+    decides, in one pass, as it refuses every word that is not a
+    permutation; check_permutation runs only to name a refusal."""
+    p = tuple(p)
     if not is_involution(p):
+        check_permutation(p)
         raise NotInvolution(f"not an involution: {p}")
     return p
 

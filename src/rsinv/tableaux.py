@@ -5,6 +5,15 @@ lengths.  Entries of a standard tableau on n boxes are exactly 1..n,
 strictly increasing along rows and down columns.  The empty tableau ``()``
 is valid.
 
+One private function, ``_checked``, refuses a bad standard or partial
+tableau with InvalidTableau: it converts the rows once, decides the entry
+set from one sort, then scans the row lengths, rows and columns.
+``check_tableau`` and ``check_partial_tableau`` call it, and ``validate``
+is check_tableau's answer as a bool.  ``transpose`` and ``first_column``
+move entries without comparing them, so they test only the length rule
+(positive, weakly decreasing), in O(number of rows); ``conjugate`` tests
+the same rule with zero parts allowed, and refuses with a DomainError.
+
 The predicates on tableaux answer False on rows that ``validate`` rejects,
 and ``tableau_descents`` raises InvalidTableau on them, so untrusted rows
 never reach a lookup that fails.  Each has a private core, its name with a
@@ -20,7 +29,7 @@ from itertools import chain, compress, count
 from operator import ge, index, lt
 from typing import Sequence
 
-from .errors import InvalidTableau
+from .errors import DomainError, InvalidTableau
 
 Tableau = tuple[tuple[int, ...], ...]
 Shape = tuple[int, ...]
@@ -43,59 +52,56 @@ def conjugate(s: Sequence[int]) -> Shape:
     The conjugate partition: column lengths of the Young diagram of the
     partition s (weakly decreasing parts, zero parts ignored).  The columns
     that reach row h but not row h+1 are appended at once, so it takes
-    O(len(s) + s[0]) steps.
+    O(len(s) + s[0]) steps.  Raises DomainError on parts that increase or
+    fall below 0.
 
     >>> conjugate((3, 3, 2, 1))
     (4, 3, 2)
     """
+    if not _is_shape(s, least=0):
+        raise DomainError(f"not a partition: {tuple(s)}")
     heights: list[int] = []
     for h in range(len(s), 0, -1):
         heights.extend([h] * (s[h - 1] - len(heights)))
     return tuple(heights)
 
 
+def _is_shape(lengths: Sequence[int], least: int = 1) -> bool:
+    # The length rule: weakly decreasing, so every length is at least
+    # `least` when the last one is.
+    return not lengths or (lengths[-1] >= least and all(map(ge, lengths, lengths[1:])))
+
+
+def _shaped(t: Sequence[Sequence[int]]) -> tuple[Sequence[int], ...]:
+    # t's rows as a tuple, checked by the length rule alone in O(number of
+    # rows), for the functions that move entries without comparing them.
+    rows = tuple(t)
+    if not _is_shape(lengths := shape(rows)):
+        raise InvalidTableau(f"row lengths are not a partition: {lengths}")
+    return rows
+
+
 def validate(t: Sequence[Sequence[int]]) -> bool:
     """
-    True iff t is a standard Young tableau: weakly decreasing positive row
-    lengths, entries exactly 1..n, rows and columns strictly increasing.
-    Returns False on any violation instead of raising, so it can screen
-    untrusted input.  Each check is one C-level scan (``map`` over
-    ``operator``), and each relies on the ones before it: the entries are
-    1..n before rows and columns are compared.  An entry that is not an
-    integer, such as None, "a" or 2.0, is a violation too; a bool counts as
-    0 or 1.
+    True iff t is a standard Young tableau: check_tableau's answer, False
+    where it refuses, so it can screen untrusted input.
     """
     try:
-        rows = [list(row) for row in t]
-        entries = sorted(map(index, chain.from_iterable(rows)))
-    except TypeError:  # not iterable, or an entry that is not an integer
+        check_tableau(t)
+    except InvalidTableau:
         return False
-    return entries == list(range(1, len(entries) + 1)) and _is_partial(rows)
-
-
-def _is_partial(rows: list[list[int]]) -> bool:
-    # Positive, weakly decreasing row lengths, and rows and columns of
-    # integers strictly increasing.
-    lengths = [len(row) for row in rows]
-    return (
-        all(lengths)
-        and all(map(ge, lengths, lengths[1:]))
-        and all(all(map(lt, row, row[1:])) for row in rows)
-        and all(all(map(lt, upper, lower)) for upper, lower in zip(rows, rows[1:]))
-    )
+    return True
 
 
 def check_tableau(t: Sequence[Sequence[int]]) -> Tableau:
-    """t as a tableau; raises InvalidTableau unless it is a standard Young
-    tableau.  This and check_partial_tableau are the only places that
-    refusal is raised."""
-    try:
-        tab = as_tableau(t)
-    except TypeError:  # t or one of its rows is not iterable
-        raise InvalidTableau(f"not a standard Young tableau: {t!r}") from None
-    if not validate(tab):
-        raise InvalidTableau(f"not a standard Young tableau: {tab}")
-    return tab
+    """
+    t as a tableau; raises InvalidTableau unless it is a standard Young
+    tableau: positive, weakly decreasing row lengths, entries exactly 1..n,
+    rows and columns strictly increasing.  An entry that is not an
+    integer, such as None, "a" or 2.0, is a violation too; a bool counts as
+    0 or 1.
+    """
+    return _checked(t, partial=False)
 
 
 def check_partial_tableau(t: Sequence[Sequence[int]]) -> Tableau:
@@ -107,25 +113,44 @@ def check_partial_tableau(t: Sequence[Sequence[int]]) -> Tableau:
     >>> check_partial_tableau(((2, 7), (5,)))
     ((2, 7), (5,))
     """
+    return _checked(t, partial=True)
+
+
+def _checked(t: Sequence[Sequence[int]], partial: bool) -> Tableau:
+    # The one refusal of both checks, on rows converted once.  One sort of
+    # the integer entries decides their set: distinct and, unless partial,
+    # from 1 to n, and n distinct integers from 1 to n are exactly 1..n.
+    # Each scan is C-level (map over operator) and relies on the ones
+    # before it: the entries are integers before rows and columns are
+    # compared.
+    kind = "partial standard tableau" if partial else "standard Young tableau"
     try:
         tab = as_tableau(t)
-        rows = [list(map(index, row)) for row in tab]
-    except TypeError:  # not iterable, or an entry that is not an integer
-        raise InvalidTableau(f"not a partial standard tableau: {t!r}") from None
-    if len(set(chain.from_iterable(rows))) != size(rows) or not _is_partial(rows):
-        raise InvalidTableau(f"not a partial standard tableau: {tab}")
+        entries = sorted(map(index, chain.from_iterable(tab)))
+    except TypeError:  # t or a row not iterable, or an entry not an integer
+        raise InvalidTableau(f"not a {kind}: {t!r}") from None
+    if not (
+        all(map(lt, entries, entries[1:]))
+        and (partial or not entries or entries[0] == 1 and entries[-1] == len(entries))
+        and _is_shape(shape(tab))
+        and all(all(map(lt, row, row[1:])) for row in tab)
+        and all(all(map(lt, upper, lower)) for upper, lower in zip(tab, tab[1:]))
+    ):
+        raise InvalidTableau(f"not a {kind}: {tab}")
     return tab
 
 
 def transpose(t: Sequence[Sequence[int]]) -> Tableau:
     """
     Reflect across the main diagonal: the entry in row r, column c moves to
-    row c, column r.  Row lengths must weakly decrease, as in a tableau;
-    each entry is moved once, in O(n) steps whatever the shape.
+    row c, column r.  Row lengths must be positive and weakly decrease, as
+    in a tableau, or it raises InvalidTableau; each entry is moved once, in
+    O(n) steps whatever the shape.
 
     >>> transpose(((1, 3, 6), (2, 4, 7), (5, 8), (9,)))
     ((1, 2, 5, 9), (3, 4, 8), (6, 7))
     """
+    t = _shaped(t)
     return tuple(map(tuple, _columns(t, len(t[0]) if t else 0)))
 
 
@@ -148,6 +173,7 @@ def layered_tableau(parts: Sequence[int]) -> Tableau:
     >>> layered_tableau((2, 1, 3))
     ((1, 3, 4), (2, 5), (6,))
     """
+    parts = _composition(parts)
     rows: list[list[int]] = [[] for _ in range(max(parts, default=0))]
     entry = 0
     for width in parts:
@@ -155,6 +181,15 @@ def layered_tableau(parts: Sequence[int]) -> Tableau:
             entry += 1
             rows[r].append(entry)
     return as_tableau(rows)
+
+
+def _composition(parts: Sequence[int]) -> tuple[int, ...]:
+    # Layer lengths as a tuple, as layered_tableau and
+    # layered_from_composition read them: no part below 1.
+    parts = tuple(parts)
+    if min(parts, default=1) < 1:
+        raise DomainError(f"not a composition: {parts}")
+    return parts
 
 
 def tableau_descents(t: Sequence[Sequence[int]]) -> set[int]:
@@ -234,8 +269,9 @@ def _satisfies_transposed_layer(t: Sequence[Sequence[int]]) -> bool:
 
 
 def first_column(t: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Entries of the leftmost column, top to bottom."""
-    return tuple(row[0] for row in t)
+    """Entries of the leftmost column, top to bottom.  Row lengths must be
+    positive and weakly decrease, or it raises InvalidTableau."""
+    return tuple(row[0] for row in _shaped(t))
 
 
 def tableau_to_json(t: Sequence[Sequence[int]]) -> str:

@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -609,3 +610,65 @@ def test_a_reused_parser_leaks_no_state(capsys, monkeypatch):
         assert reused == fresh
     codes = [code for code, _, _ in reused[::-1]]
     assert codes == [0, 2, 0, 0, 0, 0, 2, 0, 0, 0]
+
+
+def fuzz_argvs(seed):
+    """
+    A seeded table of argv lists: malformed and random words under every
+    command that reads one, every --prop with odd patterns, and odd sizes
+    for enumerate, count and verify --max-n (accepted ones small enough to
+    answer at once).
+    """
+    rng = random.Random(seed)
+    words = ["", " ", "1 1", "0", "１ ２", "1" * 30, "1\t2", "2\t1\t3", "1e3", "-1 1", "x", "1,2"]
+    words += ["2 1 3", "21543", "1234567890", "3 2 1 0", "²", "+1", "1 2 3 4 5 6 7 8 9 10 11"]
+    tokens = ["0", "-1", "1", "2", "3", "4", "5", "9", "10", "1e3", "x", "１", "1" * 30, "+2", ""]
+    for _ in range(40):
+        n = rng.randrange(10)
+        word = rng.sample(range(1, n + 1), n)
+        kind = rng.randrange(3)
+        if kind == 1:  # an involution: pair off a prefix of the shuffle
+            partner = dict(zip(word[: n // 2 * 2 : 2], word[1 : n // 2 * 2 : 2]))
+            partner.update({b: a for a, b in partner.items()})
+            word = [partner.get(i, i) for i in range(1, n + 1)]
+        elif kind == 2:
+            word = [rng.choice(tokens) for _ in range(n)]
+        words.append(rng.choice(" \t").join(map(str, word)))
+    patterns = ["", " ", "1 1", "12", "21", "x", "1" * 30, "1234567", "7654321", "123456"]
+    patterns += ["1 2 3 4 5 6 7", "0", "2 1 3", "1e3", "21 3", "132"]
+    props = [*cli.PROPS, *(f"avoids:{pattern}" for pattern in patterns)]
+    props += ["", "mystery", "avoids", "AVOIDS:12", "layered ", "gfk-tight:1"]
+    argvs = []
+    for word in words:
+        argvs += [["rsk", word], ["rsk", word, "--json"], ["tableau", word, "--json"]]
+        argvs += [["f", word, "--method", method] for method in (*cli.F_METHODS, "all")]
+        argvs += [["tableau", word, "--method", method] for method in (*cli.TABLEAU_METHODS, "all")]
+        argvs += [["check", word, "--prop", rng.choice(props)]]
+    for prop in props:
+        argvs += [["check", rng.choice(words), "--prop", prop] for _ in range(3)]
+    odd = ["-5", "-1", "x", "", "1.5", "1e3", "²", str(2**60), str(sys.maxsize), str(sys.maxsize + 1)]
+    argvs += [["enumerate", "--family", family, "--n", n] for family in cli.FAMILIES for n in odd]
+    argvs += [["enumerate", "--family", family, "--n", str(rng.randrange(6))] for family in cli.FAMILIES]
+    counts = [*odd, "0", "1", "2", "60", "428", "600", "14285", "14286", str(10**6)]
+    argvs += [["count", "--what", what, "--n", n] for what in cli.COUNTS for n in counts]
+    max_ns = ["-1", "0", "1", "2", "3", "4", "x", "", "1e3", str(10**20)]
+    argvs += [["verify", "--suite", suite, "--max-n", n] for suite in ("all", *verify.SUITES) for n in max_ns]
+    argvs += [["verify", "--suite", "all", "--max-n", n] for n in ("5", "10", "11")]
+    rng.shuffle(argvs)
+    return argvs
+
+
+def test_fuzzed_argv_never_hits_an_internal_error(capsys):
+    # Each call exits 0, 1 or 2, says nothing of an internal error, and
+    # answers within 3 s by its own timing.
+    argvs = fuzz_argvs(1)
+    assert len(argvs) >= 500
+    bad = []
+    for argv in argvs:
+        start = time.perf_counter()
+        code = run(argv)
+        seconds = time.perf_counter() - start
+        _, err = out_of(capsys)
+        if code not in (0, 1, 2) or "internal error" in err or seconds >= 3:
+            bad.append((argv, code, err[-200:], round(seconds, 2)))
+    assert bad == []

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,11 +11,13 @@ from rsinv.errors import (
     NotLayered,
     PatternTooLarge,
 )
+from rsinv.insertion import is_gfk_tight
 from rsinv.permutations import (
     PATTERN_SCAN_BUDGET,
     Interval,
     all_permutations,
     avoids,
+    check_involution,
     classify_entries,
     contains_pattern,
     decreasing,
@@ -108,6 +110,28 @@ def test_classify_entries_rejects_non_involution():
     for word in ((2,), (3, 1)):
         with pytest.raises(InvalidPermutation):
             classify_entries(word)
+
+
+def test_the_single_passes_refuse_every_word_that_is_not_a_permutation():
+    # check_involution decides with is_involution, and is_gfk_tight with the
+    # inverse inside jog_lengths, so neither sorts a word it accepts: each
+    # pass must refuse every word that is_permutation's sort refuses.
+    values = (-3, -1, 0, 1, 2, 3, 4, 5, None, 2.0, True)
+    for n in range(5):
+        for word in product(values, repeat=n):
+            permutation = is_permutation(word)
+            assert permutation or not is_involution(word), word
+            try:
+                inverse(word)
+            except InvalidPermutation:
+                assert not permutation, word
+            else:
+                assert permutation, word
+    for check in (check_involution, is_gfk_tight):
+        with pytest.raises(InvalidPermutation, match=r"^not a permutation of 1..2: \(1, 1\)$"):
+            check([1, 1])
+    with pytest.raises(NotInvolution, match=r"^not an involution: \(2, 3, 1\)$"):
+        check_involution([2, 3, 1])
 
 
 @pytest.mark.parametrize(

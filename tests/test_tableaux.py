@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rsinv import direct, enumeration, greene, insertion, permutations, tableaux, verify
-from rsinv.enumeration import layered_tableaux, standard_tableaux
+from rsinv.enumeration import layered_from_composition, layered_tableaux, standard_tableaux
 from rsinv.errors import DomainError, InvalidTableau
 from rsinv.insertion import inverse_rsk, rsk, tableau_of_involution
 from rsinv.tableaux import (
@@ -16,6 +16,7 @@ from rsinv.tableaux import (
     conjugate,
     first_column,
     is_layered_tableau,
+    layered_tableau,
     satisfies_transposed_layer,
     shape,
     tableau_descents,
@@ -218,8 +219,9 @@ def test_tableau_predicates_refuse_what_validate_rejects():
 
 
 def test_no_public_function_trusts_its_input():
-    # What the private cores trust: rows with a gap, a repeated entry, and a
-    # pair of one-box tableaux on different entries.  Every public function
+    # What the private cores trust: rows with a gap, a repeated entry, a
+    # pair of one-box tableaux on different entries, a row longer than the
+    # row above it, and an empty row.  Every public function
     # of these modules refuses them (a DomainError, or a TypeError or
     # AttributeError for an argument of the wrong kind), or answers without
     # a lookup that fails, and none answers True.
@@ -227,7 +229,7 @@ def test_no_public_function_trusts_its_input():
         for name, function in vars(module).items():
             if name.startswith("_") or getattr(function, "__module__", "") != module.__name__:
                 continue
-            for rows in (((1, 5),), ((1, 2), (2,)), (((1,),), ((2,),))):
+            for rows in (((1, 5),), ((1, 2), (2,)), (((1,),), ((2,),)), ((1,), (2, 3)), ((),)):
                 try:
                     answer = function(rows)
                     if isinstance(answer, Iterator):  # a generator, or a map
@@ -235,6 +237,50 @@ def test_no_public_function_trusts_its_input():
                 except (DomainError, TypeError, AttributeError):
                     continue
                 assert answer is not True, (name, rows)
+
+
+#: (function, argument, what it answers or the refusal it raises): the
+#: shapes, compositions, pairs and k that these names once answered on, or
+#: refused with a bare IndexError or ValueError, and valid inputs beside them
+ANSWER_OR_REFUSAL = (
+    (transpose, ((1,), (2, 3)), InvalidTableau),
+    (transpose, ((1, 2), ()), InvalidTableau),
+    (transpose, ((1, 2), (3,)), ((1, 3), (2,))),
+    (transpose, (), ()),
+    (conjugate, (1, 3), DomainError),
+    (conjugate, (2, -1), DomainError),
+    (conjugate, (2, 1, 0, 0), (2, 1)),
+    (conjugate, (0,), ()),
+    (first_column, ((),), InvalidTableau),
+    (first_column, ((1,), (2, 3)), InvalidTableau),
+    (first_column, ((1, 3), (2,)), (1, 2)),
+    (first_column, (), ()),
+    (lambda rows: first_column(iter(rows)), ((1, 3), (2,)), (1, 2)),
+    (layered_tableau, (2, -1), DomainError),
+    (layered_tableau, (2, 0), DomainError),
+    (layered_tableau, (2, 1), ((1, 3), (2,))),
+    (layered_tableau, (), ()),
+    (layered_from_composition, (0, 2), DomainError),
+    (layered_from_composition, (2, 1), (2, 1, 3)),
+    (layered_from_composition, (), ()),
+    (lambda parts: layered_from_composition(iter(parts)), (2, 1), (2, 1, 3)),
+    (lambda k: greene.longest_k_increasing((3, 1, 2), k), 0, DomainError),
+    (lambda k: greene.longest_k_decreasing((3, 1, 2), k), -1, DomainError),
+    (lambda k: greene.longest_k_increasing((3, 1, 2), k), 1, 2),
+    (lambda k: greene.longest_k_decreasing((3, 1, 2), k), 1, 2),
+    (inverse_rsk, ((),), DomainError),
+    (inverse_rsk, ((), (), ()), DomainError),
+    (inverse_rsk, (((1,),), ((1,),)), (1,)),
+)
+
+
+@pytest.mark.parametrize("function, argument, expected", ANSWER_OR_REFUSAL)
+def test_each_input_is_refused_or_answered_as_before(function, argument, expected):
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            function(argument)
+    else:
+        assert function(argument) == expected
 
 
 def test_no_two_argument_public_function_trusts_its_input():
