@@ -97,9 +97,9 @@ def recover_321_avoiding(t: Sequence[Sequence[int]]) -> Perm:
     >>> recover_321_avoiding(((1, 2, 4, 6, 7), (3, 5)))
     (1, 3, 2, 5, 4, 6, 7)
     """
+    t = check_tableau(t)
     if len(t) > 2:
         raise TooManyRows(f"expected at most two rows, got {len(t)}")
-    t = check_tableau(t)
     row1 = list(t[0]) if t else []
     row2 = list(t[1]) if len(t) > 1 else []
     n = len(row1) + len(row2)

@@ -21,7 +21,10 @@ partner from the first row.  ``tableau_of_involution`` is the insertion
 and f's last step is the peel.  The peel takes T itself, not T^T: the list
 rows of T^T are T's first lambda_2 columns, read by the column walk of
 ``tableaux`` that ``transpose`` runs too, and its one-box rows are the
-rest of T's first row, which the peel puts in its tail.
+rest of T's first row, which the peel puts in its tail.  It looks up each
+entry's first row in the entry index of ``tableaux`` that ``inverse_rsk``
+and the descents read too, built on those list rows: an entry of the tail
+gets the row below them.
 
 The bumping loops take nearly all of f's time.  In a standard tableau the
 rows of one box are the bottom of the first column, increasing downward,
@@ -224,7 +227,7 @@ def _inverse_rsk(p_tab: Tableau, q_tab: Tableau) -> Perm:
     # inverse_rsk of a pair the caller built as two standard tableaux of one
     # shape, without checking that again.
     n = tableaux.size(p_tab)
-    row_of = tableaux._row_index(q_tab)
+    row_of = tableaux._row_index(q_tab, n)
     rows = [list(row) for row in p_tab]
     out = [0] * n
     for k in range(n, 0, -1):
@@ -269,14 +272,11 @@ def _peel(t: Tableau) -> Perm:
     # T's first row.
     rows = tableaux._columns(t, len(t[1]) if len(t) > 1 else 0)
     tail = deque(t[0][len(rows):] if t else ())
-    n = sum(map(len, t))
+    n = tableaux.size(t)
     # Reverse bumps only move entries up, so an entry's first row is a
-    # bound to search up from; the tail's entries search from the last
-    # list row.
-    row_of = [len(rows)] * (n + 1)
-    for r, row in enumerate(rows):
-        for v in row:
-            row_of[v] = r
+    # bound to search up from; the tail's entries, which the list rows do
+    # not hold, search from the last list row.
+    row_of = tableaux._row_index(rows, n)
     out = [0] * n
     for j in range(n, 0, -1):
         if out[j - 1]:

@@ -11,7 +11,9 @@ every word that is not a permutation in their own single pass, so
 ``check_involution`` decides with the first and ``insertion.is_gfk_tight``
 with the second, and neither sorts a word it accepts.
 ``reverse``, ``descent_set``, ``prefix_lds_lengths``, ``longest_decreasing``
-and ``record_breakers`` take any integer word.
+and ``record_breakers`` take any integer word.  A word given as an
+iterator gets its tuple's answer, or a TypeError: no function answers
+from what a first read of it left.
 
 The jogs of p are the ascending runs of p^-1, and one loop, ``_jog_runs``,
 counts their lengths for every reader: ``jogs`` turns the counts into
@@ -190,9 +192,11 @@ def is_involution(p: Sequence[int]) -> bool:
     >>> [is_involution(w) for w in [(2, 1, 3), (2, 3, 1), (2,), (3, 1), (None, 1)]]
     [True, False, False, False, False]
     """
+    # p is read once, as a tuple, so an iterator answers as its tuple does.
     # A value past n, or not an integer, cannot index p.  One below 1 indexes
     # from the end, but then some m in 1..n is missing, so p_(p_m) = m fails.
     try:
+        p = tuple(p)
         return all(p[v - 1] == i + 1 for i, v in enumerate(p))
     except (IndexError, TypeError):
         return False
@@ -376,6 +380,7 @@ def record_breakers(p: Sequence[int]) -> set[int]:
 
 def pattern_of(values: Sequence[int]) -> Perm:
     """The order-isomorphic permutation (standardization) of distinct values."""
+    values = tuple(values)
     order = sorted(values)
     rank = {v: r + 1 for r, v in enumerate(order)}
     return tuple(rank[v] for v in values)

@@ -203,17 +203,19 @@ def tableau_descents(t: Sequence[Sequence[int]]) -> set[int]:
     return _tableau_descents(check_tableau(t))
 
 
-def _row_index(t: Sequence[Sequence[int]]) -> list[int]:
-    # row_of[v] is the 0-based row of entry v of the standard tableau t.
-    row_of = [0] * (size(t) + 1)
-    for r, row in enumerate(t):
+def _row_index(rows: Sequence[Sequence[int]], n: int) -> list[int]:
+    # row_of[v] is the 0-based row of entry v, for v in 1..n; an entry the
+    # rows do not hold gets len(rows), the row below them.  The one entry
+    # index of the package: inverse_rsk, f's peel and the descents read it.
+    row_of = [len(rows)] * (n + 1)
+    for r, row in enumerate(rows):
         for v in row:
             row_of[v] = r
     return row_of
 
 
 def _tableau_descents(t: Sequence[Sequence[int]]) -> set[int]:
-    row = _row_index(t)
+    row = _row_index(t, size(t))
     return set(compress(count(1), map(lt, row[1:], row[2:])))
 
 

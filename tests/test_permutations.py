@@ -1,9 +1,11 @@
+import inspect
 import random
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
+from rsinv import permutations
 from rsinv.errors import (
     InstanceTooLarge,
     InvalidPermutation,
@@ -406,3 +408,33 @@ def test_is_permutation_and_positions():
     assert is_permutation(("a", 1)) is False
     assert is_permutation((2.0, 1.0)) is False
     assert inverse((3, 1, 2)) == (2, 3, 1)
+
+
+def _outcome(function, *args):
+    try:
+        return "answer", function(*args)
+    except Exception as exc:  # the refusal's type is the outcome
+        return "raise", type(exc)
+
+
+def test_an_iterator_gets_its_tuples_answer_or_a_type_error():
+    # Every public function, given an iterator over a word in any argument
+    # place, answers as it does on the tuple or raises TypeError: it never
+    # reads the word twice and answers from what the first read left.
+    words = [(), (1,), (2, 1), (3, 1, 2), (2, 1, 3), (1, 1), (0, 1), (2, 3, 1)]
+    words += [(3, 6, 1, 4, 7, 2, 5), (2, 1, 5, 4, 3, 7, 6), (6, 5, 7, 4, 2, 1, 3)]
+    called = set()
+    for name, function in vars(permutations).items():
+        if name.startswith("_") or getattr(function, "__module__", "") != permutations.__name__:
+            continue
+        if not inspect.isfunction(function):
+            continue
+        called.add(name)
+        places = len(inspect.signature(function).parameters)
+        for word, place in product(words, range(places)):
+            args = [word, (3, 1, 2, 4)][:places] if place == 0 else [(3, 1, 2, 4), word]
+            want = _outcome(function, *args)
+            args[place] = iter(word)
+            got = _outcome(function, *args)
+            assert got in (want, ("raise", TypeError)), (name, word, place, want, got)
+    assert {"is_involution", "pattern_of", "contains_pattern", "avoids"} <= called

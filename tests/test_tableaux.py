@@ -271,6 +271,8 @@ ANSWER_OR_REFUSAL = (
     (inverse_rsk, ((),), DomainError),
     (inverse_rsk, ((), (), ()), DomainError),
     (inverse_rsk, (((1,),), ((1,),)), (1,)),
+    (direct.recover_321_avoiding, ((1, 2, 4), (3,)), (1, 3, 2, 4)),
+    (lambda rows: direct.recover_321_avoiding(iter(rows)), ((1, 2, 4), (3,)), (1, 3, 2, 4)),
 )
 
 
