@@ -5,9 +5,11 @@ permutations whose insertion and recording tableaux are both layered.
 All streams are lazy with documented deterministic orders, and yield nothing
 for a negative size, where every count is 0; all counts use exact integer
 arithmetic in polynomial time.  Layered tableaux are built from compositions,
-as layered permutations are; only standard tableaux are walked.  The slow
-references for the counts, the partition sum and the factorial scan with the
-subset oracle, are in ``rsinv.verify``, so nothing here imports the oracle.
+as layered permutations are; only standard tableaux are walked, by a
+depth-first search that yields them in lexicographic order of their row
+words (the row of each entry 1..n).  The slow references for the counts,
+the partition sum and the factorial scan with the subset oracle, are in
+``rsinv.verify``, so nothing here imports the oracle.
 """
 from __future__ import annotations
 
@@ -253,40 +255,43 @@ def layered_tableaux(n: int) -> Iterator[Tableau]:
 
 def standard_tableaux(n: int) -> Iterator[Tableau]:
     """
-    All standard Young tableaux on n boxes, grown by appending each next
-    entry to every legal row end, top row first, then to a new row.
+    All standard Young tableaux on n boxes, by a depth-first search that
+    appends each next entry to every row end that keeps the row lengths
+    weakly decreasing, top row first, then to a new row.  So the tableaux
+    come in lexicographic order of their row words, the rows of the entries
+    1..n, from the one-row tableau to the one-column one.  A stack holds
+    the row each entry went to; at a dead end the last entry is taken off
+    and tries its next row.
+
+    >>> list(standard_tableaux(3))
+    [((1, 2, 3),), ((1, 2), (3,)), ((1, 3), (2,)), ((1,), (2,), (3,))]
     """
-    if n == 0:
-        yield ()
-    if n <= 0:
+    if n < 0:
         return
-    rows = [list(range(1, n + 1))]
-    row_of = [0] * (n + 1)  # 0-based row of each entry
+    rows: list[list[int]] = []
+    went: list[int] = []  # went[k - 1] is the row entry k went to
+    r = 0  # the first row the next entry tries
     while True:
-        yield as_tableau(rows)
-        # Take entries off, largest first, until one fits a later row (the next one shorter
-        # than the row above it, or a new row); put it there, every larger one on the top row.
-        e = n
-        while True:
-            if e == 1:
-                return
-            r = row_of[e]
-            rows[r].pop()
-            if not rows[r]:
-                rows.pop()
+        while 0 < r < len(rows) and len(rows[r]) == len(rows[r - 1]):
             r += 1
-            while r < len(rows) and len(rows[r]) == len(rows[r - 1]):
-                r += 1
-            if r <= len(rows):
-                break
-            e -= 1
-        if r == len(rows):
-            rows.append([])
-        rows[r].append(e)
-        row_of[e] = r
-        rows[0].extend(range(e + 1, n + 1))
-        for k in range(e + 1, n + 1):
-            row_of[k] = 0
+        if len(went) == n:
+            yield as_tableau(rows)
+        elif r <= len(rows):
+            if r == len(rows):
+                rows.append([])
+            rows[r].append(len(went) + 1)
+            went.append(r)
+            r = 0
+            continue
+        # A dead end, or a tableau yielded: the last entry tries the row
+        # after its own, where a new row has none after it.
+        if not went:
+            return
+        r = went.pop()
+        rows[r].pop()
+        if not rows[r]:
+            rows.pop()
+        r += 1
 
 
 def _rearrangements(parts: Sequence[int]) -> Iterator[Composition]:

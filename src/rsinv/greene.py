@@ -142,10 +142,7 @@ def _subset_profile(values: tuple[int, ...]) -> tuple[int, ...]:
             k += not tops or tops[-1] > x  # no top is x: a longer chain
             if size >= best[k]:
                 best[k] = size + 1
-    for k in range(1, n + 1):
-        if best[k] < best[k - 1]:
-            best[k] = best[k - 1]
-    return tuple(best)
+    return tuple(accumulate(best, max))
 
 
 def _orbit_key(p: tuple[int, ...], inv: tuple[int, ...]) -> tuple[int, ...]:

@@ -123,6 +123,68 @@ MUTANTS = (
         "accumulate(lengths[:-1])",
         pytest("tests/test_greene.py", "-k", "test_tight_against_compares_every_prefix_sum"),
     ),
+    # Each orbit of the diagram's symmetries has one profile, so a key that
+    # is some other image of the orbit changes no answer; only the key's
+    # own test, the least of the four images, sees it.
+    Mutant(
+        "the orbit key skips a turned image",
+        "greene.py",
+        "if p and m - p[-1] <= key[0]:",
+        "if False:",
+        pytest("tests/test_greene.py", "-k", "test_one_inverse_gives_the_orbit_key"),
+    ),
+    Mutant(
+        "the oracle resumes from the states after c + 1 shared values",
+        "greene.py",
+        "            shared += 1\n",
+        "            shared += 1\n        shared += shared < n - 2\n",
+        verify("greene"),
+    ),
+    Mutant(
+        "the oracle merges unequal keys: tops raised to n + 1",
+        "greene.py",
+        "u = rest[j]",
+        "u = n + 1",
+        verify("greene"),
+    ),
+    # verify picks the pattern-avoiding instances of two checks with
+    # contains_pattern, so a search that always matches empties them and
+    # verify still exits 0; the pattern tests see it.
+    Mutant(
+        "contains_pattern without its pattern check",
+        "permutations.py",
+        "if lo < x < hi:",
+        "if True:",
+        pytest("tests/test_permutations.py", "-k", "pattern"),
+    ),
+    Mutant(
+        "layers reads a word that is not layered as one layer",
+        "permutations.py",
+        'raise NotLayered(f"not layered: {tuple(p)}")',
+        "tops = [len(p)]",
+        pytest("tests/test_permutations.py", "-k", "layers"),
+    ),
+    Mutant(
+        "count_A without parts of size n",
+        "enumeration.py",
+        "for j in range(n, 1, -1):",
+        "for j in range(n - 1, 1, -1):",
+        verify("counting"),
+    ),
+    Mutant(
+        "f_gfk_tight_direct swaps its first two layers",
+        "direct.py",
+        "layered_from_composition(_jog_runs(p))",
+        "layered_from_composition(_jog_runs(p)[1::-1] + _jog_runs(p)[2:])",
+        verify("characterization"),
+    ),
+    Mutant(
+        "standard_tableaux grows a row as long as the one above it",
+        "enumeration.py",
+        "len(rows[r]) == len(rows[r - 1])",
+        "len(rows[r]) > len(rows[r - 1])",
+        verify("counting"),
+    ),
     Mutant(
         "f's route rule inverted",
         "insertion.py",

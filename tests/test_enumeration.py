@@ -23,7 +23,7 @@ from rsinv.enumeration import (
 from rsinv.errors import InstanceTooLarge
 from rsinv.insertion import _inverse_rsk, _peel, f_involution, inverse_rsk, tableau_of_involution
 from rsinv.permutations import is_involution, is_layered, reverse
-from rsinv.tableaux import is_layered_tableau, shape, validate
+from rsinv.tableaux import _row_index, is_layered_tableau, shape, validate
 from rsinv.verify import CHECKS, INSTANCE_BUDGET, brute_count_general, count_A_by_partitions
 
 
@@ -168,6 +168,14 @@ def test_standard_tableaux_counts():
         assert len(walked) == len(set(walked)) == count_involutions(n), n
         assert all(map(validate, walked)), n
         assert set(walked) == {tableau_of_involution(q) for q in involutions(n)}, n
+
+
+def test_standard_tableaux_come_in_row_word_order():
+    # the depth-first search yields the tableaux in strictly increasing
+    # lexicographic order of their row words, the rows of the entries 1..n
+    for n in range(10):
+        words = [_row_index(t, n)[1:] for t in standard_tableaux(n)]
+        assert all(a < b for a, b in zip(words, words[1:])), n
 
 
 def test_generalized_layered():
