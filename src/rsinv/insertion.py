@@ -40,30 +40,45 @@ bump then visits only the list rows, at most lambda'_2 of them for a
 tableau of shape lambda, the length of its second column.  ``_bump`` is the
 forward loop of ``row_insert`` and of the involution insertion, which
 calls it once per 2-cycle.  ``rsk`` and ``inverse_rsk`` keep plain list
-rows, and so stay an independent reference for the tail: ``rsk`` runs the
-forward loop inline over (P row, Q row) pairs, so no entry pays for a call
-and the Q row is at hand where the P row is appended to, and
-``inverse_rsk`` reverse-bumps inline, finding each entry's row through a
-list.  For T of shape lambda and m 2-cycles the insertion visits at most
-(n(lambda) + m) / 2 rows and the peel (n(lambda) - m) / 2, where n(lambda)
-= sum_i (i-1) lambda_i, and each at most lambda'_2 rows a 2-cycle; the
-general correspondence visits n(lambda) + n and n(lambda), tail or not.
-So the decreasing word, a column, inserts in linear time, and a tall
-tableau with few list rows in about n * lambda'_2 visits.  The two-column
-shape has no tail, and ``rsk`` and ``inverse_rsk`` none at all: on tall
-tableaux those stay quadratic.
+rows and no tail: ``rsk`` runs the forward loop inline over (P row, Q row)
+pairs, so no entry pays for a call and the Q row is at hand where the P
+row is appended to, and ``inverse_rsk`` reverse-bumps inline, finding each
+entry's row through a list.  For T of shape lambda and m 2-cycles the
+insertion visits at most (n(lambda) + m) / 2 rows and the peel (n(lambda)
+- m) / 2, where n(lambda) = sum_i (i-1) lambda_i, and each at most
+lambda'_2 rows a 2-cycle; the general correspondence visits n(lambda) + n
+and n(lambda), tail or not.  So the decreasing word, a column, inserts in
+linear time, and a tall tableau with few list rows in about n * lambda'_2
+visits.  The two-column shape has no tail, and ``rsk`` and
+``inverse_rsk`` none at all: on tall tableaux those stay quadratic.
 
-A bump path moves weakly right going up (the row bumping lemma: Fulton,
-"Young Tableaux", 1.1; Knuth, TAOCP vol. 3, 5.1.4): the entry above the
-column j that a carried x leaves is smaller than x, as columns increase,
-so the largest entry smaller than x, which x replaces, is in column j or
-right of it.  Each reverse bump, in ``inverse_rsk`` and in the peel, so
-starts its search of a row at column j + 1, and a carry off the tail at
-column 1.  The rows visited are the same, and each visit compares fewer
-entries.  The forward loops do not take the mirror bound, a search that
-stops at column j: bounding ``rsk``'s search with ``min(j, len(row))``
-made it 1.4 to 1.5 times slower at n <= 7 and 1.7 to 1.8 times at n = 500
-to 4000, as the bound costs more than the comparisons it saves.
+A bump path moves weakly left going down, and weakly right going up (the
+row bumping lemma: Fulton, "Young Tableaux", 1.1; Knuth, TAOCP vol. 3,
+5.1.4).  The entry below the column j that a carry x leaves is larger
+than x, as columns increase, so the leftmost entry larger than x, which x
+replaces, is in column j or left of it; backwards, the entry above column
+j is smaller than x, so the largest entry smaller than x is in column j
+or right of it.  The peel so starts its search of a row at column j + 1,
+and a carry off the tail at column 1.  ``rsk`` and ``inverse_rsk`` look
+next to column j before they search.  In ``rsk`` each row of P lies
+between the sentinels 0 and n + 1, so that its columns count from 1, and
+the first row is searched whole.  Below it, a carry that left column j
+lands there unless the entry in column j - 1 is larger; then in column
+j - 1 unless the entry in column j - 2 is larger too; and otherwise
+``bisect_right`` searches columns 1 to j - 2.  A row that ends left of
+column j - 1 raises ``IndexError`` at the first look and is searched
+whole, and swapping out the sentinel n + 1 is an append.  ``inverse_rsk``
+is the mirror, each row ending in n + 1: column j unless column j + 1
+holds a smaller entry, then j + 1, and otherwise ``bisect_left`` from
+column j + 3.  On seeded random permutations with n = 500 to 10^5, 60-63%
+of the forward bumps below the first row land in the column the carry
+left and 82-85% within one column of it; 0.2-1.9% reach the whole-row
+search.  The reverse bumps land alike.  A visit makes at most two looks
+and one search of a row, so it stays O(log lambda_1).  The rows visited
+are those of Schensted's loop, and ``_bump``, ``_shape_within``,
+``row_insert`` and the peel keep searching whole rows (the peel from
+column j + 1), so the two kinds of loop are each other's differently
+searched reference in the tests.
 
 Every tableau and permutation returned here holds only the caller's int
 objects, never a new int: P, T and the peeled or reverse-bumped outputs
@@ -184,22 +199,43 @@ def rsk(p: Sequence[int]) -> tuple[Tableau, Tableau]:
     >>> rsk((2, 1, 4, 3))
     (((1, 3), (2, 4)), ((1, 3), (2, 4)))
     """
-    # _bump's loop, inlined: the pairs hold row r of P and of Q, and step
-    # is recorded in the Q row of the same pair as the append.
+    # Schensted's loop, inlined, looking next to the column a carry left
+    # before it searches a row below the first (module docstring).  Each
+    # row of P lies between the sentinels 0 and n + 1, which the output
+    # strips.  The pairs hold the rows below the first, of P and of Q:
+    # swapping out n + 1 appends to the P row, and step to the Q row.
+    p, ordered = _check_in_value_order(p)
+    if not p:
+        return (), ()
+    big = len(p) + 1
+    first: list[int] = [0, big]
+    qfirst: list[int] = []
     rows: list[tuple[list[int], list[int]]] = []
-    for x, step in zip(*_check_in_value_order(p)):
+    for x, step in zip(p, ordered):
+        j = bisect_right(first, x)
+        first[j], x = x, first[j]
+        if x is big:
+            first.append(x)
+            qfirst.append(step)
+            continue
         for prow, qrow in rows:
-            j = bisect_right(prow, x)
-            if j == len(prow):
+            try:
+                if prow[j - 1] > x:
+                    j -= 1
+                    if prow[j - 1] > x:
+                        j = bisect_right(prow, x, 1, j - 1)
+            except IndexError:
+                j = bisect_right(prow, x)
+            prow[j], x = x, prow[j]
+            if x is big:
                 prow.append(x)
                 qrow.append(step)
                 break
-            prow[j], x = x, prow[j]
         else:
-            rows.append(([x], [step]))
+            rows.append(([0, x, big], [step]))
     return (
-        tableaux.as_tableau([prow for prow, _ in rows]),
-        tableaux.as_tableau([qrow for _, qrow in rows]),
+        (tuple(first)[1:-1], *[tuple(prow)[1:-1] for prow, _ in rows]),
+        (tuple(qfirst), *[tuple(qrow) for _, qrow in rows]),
     )
 
 
@@ -228,17 +264,23 @@ def _inverse_rsk(p_tab: Tableau, q_tab: Tableau) -> Perm:
     # shape, without checking that again.
     n = tableaux.size(p_tab)
     row_of = tableaux._row_index(q_tab, n)
-    rows = [list(row) for row in p_tab]
+    big = n + 1
+    rows = [[*row, big] for row in p_tab]
     out = [0] * n
     for k in range(n, 0, -1):
         r = row_of[k]
-        x = rows[r].pop()
-        j = len(rows[r])  # the column x leaves
+        row = rows[r]
+        x = row.pop(-2)
+        j = len(row) - 1  # the column x leaves
         # Reverse bumping: in each row above, x replaces the largest
-        # smaller entry, which moves up in turn.  The entry above column j
-        # is smaller than x, so the search starts right of it.
+        # smaller entry, which moves up in turn.  That entry is in column j
+        # or right of it (module docstring), and n + 1 ends each row, so
+        # the looks right of column j stay inside the row.
         for row in reversed(rows[:r]):
-            j = bisect_left(row, x, j + 1) - 1
+            if row[j + 1] < x:
+                j += 1
+                if row[j + 1] < x:
+                    j = bisect_left(row, x, j + 2) - 1
             row[j], x = x, row[j]
         out[k - 1] = x
     return tuple(out)
@@ -349,10 +391,18 @@ def f_involution(p: Sequence[int]) -> Perm:
     O(rows).  It was fitted to timings of both routes on seeded
     involutions and their f images: n = 10^3, 2 * 10^3, 4 * 10^3, 10^4
     and 3 * 10^4 at 5% to 100% of the entries in 2-cycles, and n = 10^5 at
-    20% to 100%, 138 inputs.  It takes the slower route on 5 of them: at
+    20% to 100%, 138 inputs.  It took the slower route on 5 of them: at
     40% to 60% paired, where the two are close, by at most 1.21 times (n =
     10^4, 60%; the least of 5 runs), and by 1.11 times (0.05 ms) at n =
-    10^3 and 5% paired.
+    10^3 and 5% paired.  Looking next to the column a carry left made the
+    reverse bumps of the evacuation route cheaper, and the rule was kept.
+    Re-timed on 80 seeded inputs, n = 10^3, 2 * 10^3, 4 * 10^3 and 10^4 at
+    5% to 100% paired, it takes the slower route on 8, against 2 with
+    whole-row searches: each time the peel, at 40% to 65% paired by at
+    most 1.17 times (n = 4 * 10^3, 65%; 2 ms), and at n = 10^3 and 5% by
+    1.25 times (0.13 ms).  On the 27 inputs of the benchmark's f-large,
+    n = 10^3 to 4 * 10^3 at 20%, 70% and 100%, it takes the faster route
+    on all.
 
     >>> f_involution((2, 1, 5, 4, 3, 9, 8, 7, 6))
     (6, 7, 3, 4, 8, 1, 2, 5, 9)

@@ -6,8 +6,9 @@ permutations and n!, involutions and I(n), layered permutations and
 2^(n-1), or the sizes themselves, each counted as the work a check does
 at it.  A ``Check`` is one row: a name, the family it walks, its default
 size, the predicate that must hold on every instance, and optionally
-which instances it applies to.  Calling a row walks its family through
-``_check``, which counts instances and collects counterexamples.
+which instances it applies to and how many of them there are.  Calling a
+row walks its family through ``_check``, which counts instances and
+collects counterexamples.
 ``SUITES`` groups the rows, and the CLI runs them so the whole battery
 can be reproduced without a test runner; the test suite asserts them at
 the sizes fixed in tests/test_acceptance.py.  A check called at a size
@@ -28,7 +29,7 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
-from math import factorial
+from math import comb, factorial
 from operator import le
 from typing import Any, Callable, Iterable
 
@@ -148,13 +149,17 @@ def _sizes(work: Callable[[int], int], first: int = 1, last: int | None = None) 
 @dataclass(frozen=True)
 class Check:
     """One exhaustive check: ``holds`` must be true on every instance of
-    ``family`` up to a size, default ``max_n``, for which ``where`` is."""
+    ``family`` up to a size, default ``max_n``, for which ``where`` is.
+    ``where_count(n)``, when given, is how many instances of size n that
+    should be, counted without ``where``; the check fails on another total,
+    so a filter that empties it cannot pass it."""
 
     name: str
     family: Family
     max_n: int
     holds: Callable[[Any], bool]
     where: Callable[[Any], bool] = lambda _: True
+    where_count: Callable[[int], int] | None = None
 
     def __call__(self, max_n: int | None = None) -> CheckResult:
         """Walk the family to max_n, or refuse first past INSTANCE_BUDGET instances."""
@@ -162,7 +167,12 @@ class Check:
         _refuse_past_budget(self, max_n)
         sizes = self.family.sizes(max_n)
         instances = chain.from_iterable(map(self.family.members, sizes))
-        return _check(self.name, instances, self.holds, self.where)
+        res = _check(self.name, instances, self.holds, self.where)
+        if self.where_count is not None:
+            expected = sum(map(self.where_count, sizes))
+            if res.checked != expected:
+                res.failures.append(f"{self.name} checked {res.checked} instances, not {expected}")
+        return res
 
     @property
     def __signature__(self) -> inspect.Signature:
@@ -190,6 +200,13 @@ class Check:
 def _prefix_sums(parts: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Prefix sums of parts, padded with zero parts to n terms."""
     return tuple(accumulate(parts + (0,) * (n - len(parts))))
+
+
+def _central_binomial(n: int) -> int:
+    """The 123-avoiding involutions of size n, and the 321-avoiding ones,
+    are each C(n, floor(n/2)) many (Simion and Schmidt, "Restricted
+    permutations", European J. Combin. 6 (1985) 383-406)."""
+    return comb(n, n // 2)
 
 
 def _distinct_family(
@@ -395,6 +412,7 @@ SUITES: dict[str, list[Check]] = {
             10,
             lambda p: direct.f_123_avoiding_direct(p) == f_involution(p),
             where=lambda p: not contains_pattern(p, (1, 2, 3)),
+            where_count=_central_binomial,
         ),
         # 321-avoiding: the direct two-row tableau is the insertion one, and peeling recovers p
         Check(
@@ -404,6 +422,7 @@ SUITES: dict[str, list[Check]] = {
             lambda p: (t := direct.tableau_of_321_avoiding(p)) == tableau_of_involution(p)
             and direct.recover_321_avoiding(t) == p,
             where=lambda p: not contains_pattern(p, (3, 2, 1)),
+            where_count=_central_binomial,
         ),
         # reversal is f whenever p and its reverse are both involutions
         Check(

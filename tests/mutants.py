@@ -64,6 +64,20 @@ MUTANTS = (
         verify("rsk"),
     ),
     Mutant(
+        "rsk keeps the column the carry left",
+        "insertion.py",
+        "                if prow[j - 1] > x:\n                    j -= 1\n",
+        "                if False:\n                    j -= 1\n",
+        verify("rsk"),
+    ),
+    Mutant(
+        "_inverse_rsk's one-column probe skips a column",
+        "insertion.py",
+        "                j += 1\n                if row[j + 1] < x:\n",
+        "                j += 1\n                if True:\n",
+        verify("rsk"),
+    ),
+    Mutant(
         "_peel skips row 0",
         "insertion.py",
         "reversed(above)",
@@ -101,9 +115,9 @@ MUTANTS = (
     Mutant(
         "rsk folds rows past 40 into the last row",
         "insertion.py",
-        "rows.append(([x], [step]))",
-        "rows.append(([x], [step])) if len(rows) < 40"
-        " else (rows[-1][0].append(x), rows[-1][1].append(step))",
+        "rows.append(([0, x, big], [step]))",
+        "rows.append(([0, x, big], [step])) if len(rows) < 39"
+        " else (rows[-1][0].insert(-1, x), rows[-1][1].append(step))",
         pytest("tests/test_rsk.py", "-k", "bump_kernels_agree or at_scale"),
     ),
     Mutant(
@@ -148,14 +162,21 @@ MUTANTS = (
         verify("greene"),
     ),
     # verify picks the pattern-avoiding instances of two checks with
-    # contains_pattern, so a search that always matches empties them and
-    # verify still exits 0; the pattern tests see it.
+    # contains_pattern, so a search that always matches empties them; the
+    # pattern tests see it, and so do those checks' instance counts.
     Mutant(
         "contains_pattern without its pattern check",
         "permutations.py",
         "if lo < x < hi:",
         "if True:",
         pytest("tests/test_permutations.py", "-k", "pattern"),
+    ),
+    Mutant(
+        "contains_pattern without its pattern check, under verify",
+        "permutations.py",
+        "if lo < x < hi:",
+        "if True:",
+        verify("characterization"),
     ),
     Mutant(
         "layers reads a word that is not layered as one layer",
@@ -190,6 +211,27 @@ MUTANTS = (
         "insertion.py",
         "if 3 * n_lam + 10 * n < n_lam_transposed - comb(overhang, 2):",
         "if not 3 * n_lam + 10 * n < n_lam_transposed - comb(overhang, 2):",
+        verify("all"),
+        digest=VERIFY_ALL,
+        survives=True,
+    ),
+    # Each probe only saves a search of the columns it looks at.
+    Mutant(
+        "rsk drops its one-column probe",
+        "insertion.py",
+        "                    j -= 1\n                    if prow[j - 1] > x:\n"
+        "                        j = bisect_right(prow, x, 1, j - 1)\n",
+        "                    j = bisect_right(prow, x, 1, j - 1)\n",
+        verify("all"),
+        digest=VERIFY_ALL,
+        survives=True,
+    ),
+    Mutant(
+        "_inverse_rsk drops its one-column probe",
+        "insertion.py",
+        "                j += 1\n                if row[j + 1] < x:\n"
+        "                    j = bisect_left(row, x, j + 2) - 1\n",
+        "                j = bisect_left(row, x, j + 2) - 1\n",
         verify("all"),
         digest=VERIFY_ALL,
         survives=True,

@@ -5,6 +5,7 @@ Each test prints one PASS/FAIL line (run pytest -s to see them inline;
 the same checks are reproducible from the command line via
 ``rsinv verify --suite all``).
 """
+import dataclasses
 from math import factorial
 
 from rsinv import enumeration, verify
@@ -151,3 +152,15 @@ def test_failing_check_keeps_four_messages_and_a_suppression_note():
     assert result.failures == [f"demo fails at n={n}" for n in range(1, 5)] + [
         "... more failures suppressed"
     ]
+
+
+def test_a_filter_that_empties_a_check_fails_it():
+    # direct-123 and two-row-roundtrip keep the involutions that avoid a
+    # pattern; a filter that keeps only the smallest ones must not pass.
+    for name in ("direct-123", "two-row-roundtrip"):
+        check = verify.CHECKS[name]
+        assert check(10).checked == 526
+        emptied = dataclasses.replace(check, where=lambda p: len(p) <= 2)
+        result = emptied(10)
+        assert result.checked == 4
+        assert result.failures == [f"{name} checked 4 instances, not 526"]

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from bisect import bisect_right
 from functools import partial
 from itertools import permutations
 
@@ -333,23 +334,75 @@ def test_tail_kernels_agree_with_the_list_loops_on_tall_tableaux(kind):
     assert insertion._shape_within(q, len(lengths) - 1) is None
 
 
+def schensted(p):
+    # Schensted's insertion as written: each row searched whole, from
+    # column 0, and Q records step s in the row where P's is appended to.
+    # The reference for rsk's loop, which probes next to the column a carry
+    # left, and for inverse_rsk's reverse bumps.
+    p_rows, q_rows = [], []
+    for step, x in enumerate(p, start=1):
+        for prow, qrow in zip(p_rows, q_rows):
+            j = bisect_right(prow, x)
+            if j == len(prow):
+                prow.append(x)
+                qrow.append(step)
+                break
+            prow[j], x = x, prow[j]
+        else:
+            p_rows.append([x])
+            q_rows.append([step])
+    return tableaux.as_tableau(p_rows), tableaux.as_tableau(q_rows)
+
+
+def test_bump_loops_agree_with_schensted_exhaustively():
+    count = 0
+    for n in range(9):
+        for p in permutations(range(1, n + 1)):
+            pair = schensted(p)
+            assert rsk(p) == pair, p
+            assert inverse_rsk(pair) == p, p
+            count += 1
+    assert count == 46234
+
+
+def drift(m):
+    # (2, 4, ..., 2m, 2m+1, 2m-1, ..., 3, 1): each odd entry 2k - 1 < 2m
+    # bumps 2k from column k of the first row, and it lands in column 1 of
+    # the second, a one-box row: from k = 4 on, rsk's probe of column k - 1
+    # is past the row's end, and it searches the row whole.
+    return (*range(2, 2 * m + 1, 2), 2 * m + 1, *range(2 * m - 1, 0, -2))
+
+
+def blocks(m):
+    # (2m+1, ..., 3m, 2, 4, ..., 2m, 2m-1, 2m-3, ..., 1): the first two
+    # blocks leave a first row of the even entries above a second row of
+    # 2m+1 .. 3m, each larger than all of the first.  Each odd entry 2k - 1
+    # bumps 2k from column k, which lands in column 1 of the second row, as
+    # long as the first: rsk searches left of the two columns it probes,
+    # and inverse_rsk, carrying 2k back up, right of the two it probes.
+    return (*range(2 * m + 1, 3 * m + 1), *range(2, 2 * m + 1, 2), *range(2 * m - 1, 0, -2))
+
+
 SCALE_WORDS = {
     "random": lambda: tuple(random.Random(11).sample(range(1, 2001), 2000)),
     "reversed": lambda: reverse(random.Random(11).sample(range(1, 2001), 2000)),
     "hook": lambda: hook(2000),
     "two-columns": lambda: two_columns(2000),
     "paired-0.7": lambda: seeded_involution(11, 2000, 0.7),
+    "drift": lambda: drift(1000),
+    "blocks": lambda: blocks(667),
 }
 
 
 @pytest.mark.parametrize("kind", SCALE_WORDS)
 def test_reverse_bumps_invert_the_forward_loop_at_scale(kind):
-    # Each reverse bump searches a row from right of the column the carried
-    # entry left; rsk's forward loop searches every row from column 0, so it
-    # stays the reference.  On the involutions, the peel of T^T is f(q),
-    # whose tableau must be T^T.
+    # rsk probes the column a carry left, or the one left of it, before it
+    # searches; each reverse bump probes right of that column.  Schensted's
+    # insertion, searching every row whole, is the reference for both.  On
+    # the involutions, the peel of T^T is f(q), whose tableau must be T^T.
     p = SCALE_WORDS[kind]()
-    pair = rsk(p)
+    pair = schensted(p)
+    assert rsk(p) == pair
     assert inverse_rsk(pair) == p
     if p == inverse(p):
         flipped = transpose(pair[0])
