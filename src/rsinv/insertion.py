@@ -58,27 +58,37 @@ row bumping lemma: Fulton, "Young Tableaux", 1.1; Knuth, TAOCP vol. 3,
 than x, as columns increase, so the leftmost entry larger than x, which x
 replaces, is in column j or left of it; backwards, the entry above column
 j is smaller than x, so the largest entry smaller than x is in column j
-or right of it.  The peel so starts its search of a row at column j + 1,
-and a carry off the tail at column 1.  ``rsk`` and ``inverse_rsk`` look
-next to column j before they search.  In ``rsk`` each row of P lies
-between the sentinels 0 and n + 1, so that its columns count from 1, and
-the first row is searched whole.  Below it, a carry that left column j
-lands there unless the entry in column j - 1 is larger; then in column
-j - 1 unless the entry in column j - 2 is larger too; and otherwise
-``bisect_right`` searches columns 1 to j - 2.  A row that ends left of
-column j - 1 raises ``IndexError`` at the first look and is searched
-whole, and swapping out the sentinel n + 1 is an append.  ``inverse_rsk``
-is the mirror, each row ending in n + 1: column j unless column j + 1
-holds a smaller entry, then j + 1, and otherwise ``bisect_left`` from
-column j + 3.  On seeded random permutations with n = 500 to 10^5, 60-63%
-of the forward bumps below the first row land in the column the carry
-left and 82-85% within one column of it; 0.2-1.9% reach the whole-row
-search.  The reverse bumps land alike.  A visit makes at most two looks
-and one search of a row, so it stays O(log lambda_1).  The rows visited
-are those of Schensted's loop, and ``_bump``, ``_shape_within``,
-``row_insert`` and the peel keep searching whole rows (the peel from
-column j + 1), so the two kinds of loop are each other's differently
-searched reference in the tests.
+or right of it.  Every bumping loop here looks next to column j before it
+searches a row.  The forward loops, ``rsk``'s and ``_bump``, which is
+also the loop of the involution insertion, ``row_insert`` and
+``_shape_within``, search the first row whole.  Below it, a carry that
+left column j lands there unless the entry in column j - 1 is larger;
+then in column j - 1 unless the entry in column j - 2 is larger too; and
+otherwise ``bisect_right`` searches the columns left of j - 1.  In
+``rsk`` each row lies between the sentinels 0 and n + 1, so that its
+columns count from 1.  The list rows of the tail kernels end in inf,
+larger than any int, so that ``row_insert`` takes a partial tableau of
+any ints, and there a carry that left column 0 lands in column 0 without
+a look.  A row that ends left of column j - 1 raises ``IndexError`` at the
+first look and is searched whole, and swapping out the upper sentinel is
+an append.  The reverse loops, ``inverse_rsk``'s and the peel's, are the
+mirror, each row ending in a sentinel (n + 1 and inf): column j unless
+column j + 1 holds a smaller entry, then j + 1, and otherwise
+``bisect_left`` from column j + 3; a carry off the peel's tail
+starts at column 0.  On seeded random permutations with n = 500 to 10^5,
+60-63% of ``rsk``'s bumps below the first row land in the column the
+carry left and 82-85% within one column of it; 0.2-1.9% reach the
+whole-row search, and the reverse bumps land alike.  On seeded
+involutions with n = 10^3 to 10^5 and 20% to 100% of the entries in
+2-cycles, 59-61% of the involution insertion's bumps below the first row
+land in the column the carry left, 80-84% within one column of it and
+0.8-6.4% reach the whole-row search; 61-68% of the peel's reverse bumps
+land in the column the carry left and 83-87% within one column.  A visit
+makes at most two looks and one search of a row, so it stays
+O(log lambda_1).  The rows visited are those of Schensted's loop, and
+the tests take that loop as written, every row searched whole
+(``tests/test_rsk.py``'s ``schensted``), as the reference for each of
+them.
 
 Every tableau and permutation returned here holds only the caller's int
 objects, never a new int: P, T and the peeled or reverse-bumped outputs
@@ -131,26 +141,51 @@ from .permutations import (
 from .tableaux import Tableau
 
 
+# Each list row of the tail kernels ends in this sentinel, larger than any
+# int, so that swapping it out is an append and a look right of a row's last
+# entry stays inside the row.  No output holds it.
+_HIGH = float("inf")
+
+
 def _joined(rows: list[list[int]], tail: deque[int]) -> Tableau:
+    # The tableau of the list rows, each stripped of its sentinel in place,
+    # above the tail.
+    for row in rows:
+        row.pop()
     return (*map(tuple, rows), *zip(tail))
 
 
 def _bump(rows: list[list[int]], tail: deque[int], x: int) -> int:
     # Schensted bumping through the list rows, then the tail below them
     # (module docstring; any row may be a list row); returns the 0-based
-    # row where an append happened.
-    r = 0
-    for row in rows:
-        j = bisect_right(row, x)
-        if j == len(row):
-            row.append(x)
-            return r
-        row[j], x = x, row[j]
-        r += 1
+    # row where an append happened.  The first row is searched whole; below
+    # it, x lands in the column the carry left, or one left of it, before
+    # a search, as in rsk.
+    if rows:
+        first = rows[0]
+        j = bisect_right(first, x)
+        first[j], x = x, first[j]
+        if x is _HIGH:
+            first.append(x)
+            return 0
+        for r in range(1, len(rows)):
+            row = rows[r]
+            try:
+                if j and row[j - 1] > x:
+                    j -= 1
+                    if j and row[j - 1] > x:
+                        j = bisect_right(row, x, 0, j - 1)
+            except IndexError:
+                j = bisect_right(row, x)
+            row[j], x = x, row[j]
+            if x is _HIGH:
+                row.append(x)
+                return r
     # Past the list rows, x joins the first one-box row if it is larger,
     # or else pushes every one-box row down one row.
+    r = len(rows)
     if tail and tail[0] < x:
-        rows.append([tail.popleft(), x])
+        rows.append([tail.popleft(), x, _HIGH])
         return r
     tail.appendleft(x)
     return r + len(tail) - 1
@@ -163,7 +198,7 @@ def _shape_within(w: Sequence[int], most: int) -> tuple[int, ...] | None:
     for x in w:
         if _bump(rows, tail, x) == most:
             return None
-    return tuple(map(len, rows)) + (1,) * len(tail)
+    return tuple([len(row) - 1 for row in rows]) + (1,) * len(tail)
 
 
 def row_insert(t: Sequence[Sequence[int]], x: int) -> tuple[Tableau, int]:
@@ -183,7 +218,7 @@ def row_insert(t: Sequence[Sequence[int]], x: int) -> tuple[Tableau, int]:
     x = index(x)
     if any(x in row for row in t):
         raise DuplicateEntry(f"entry {x} already present")
-    rows = [list(row) for row in t]
+    rows = [[*row, _HIGH] for row in t]
     tail: deque[int] = deque()
     landing = _bump(rows, tail, x)
     return _joined(rows, tail), landing + 1
@@ -298,9 +333,9 @@ def _involution_tableau(q: Perm) -> Tableau:
         # counter: f's image keeps the entries, and a caller holding many
         # images would otherwise hold one more int per entry.
         if r < len(rows):
-            rows[r].append(q[i - 1])
+            rows[r].insert(-1, q[i - 1])
         elif r == len(rows) and tail:
-            rows.append([tail.popleft(), q[i - 1]])
+            rows.append([tail.popleft(), q[i - 1], _HIGH])
         else:
             tail.append(q[i - 1])  # a new last row
     return _joined(rows, tail)
@@ -310,8 +345,8 @@ def _peel(t: Tableau) -> Perm:
     # The involution whose standard tableau is T^T, for the standard
     # tableau t = T: Beissinger's insertion run backwards (module
     # docstring).  T^T's rows of two or more boxes are T's first lambda_2
-    # columns, taken as lists; its one-box rows, the tail, are the rest of
-    # T's first row.
+    # columns, taken as lists, each ending in _HIGH; its one-box rows, the
+    # tail, are the rest of T's first row.
     rows = tableaux._columns(t, len(t[1]) if len(t) > 1 else 0)
     tail = deque(t[0][len(rows):] if t else ())
     n = tableaux.size(t)
@@ -319,6 +354,8 @@ def _peel(t: Tableau) -> Perm:
     # bound to search up from; the tail's entries, which the list rows do
     # not hold, search from the last list row.
     row_of = tableaux._row_index(rows, n)
+    for row in rows:
+        row.append(_HIGH)
     out = [0] * n
     for j in range(n, 0, -1):
         if out[j - 1]:
@@ -331,29 +368,34 @@ def _peel(t: Tableau) -> Perm:
             r = row_of[j]
             if r >= len(rows):
                 r = len(rows) - 1
-            while rows[r][-1] != j:
+            while rows[r][-2] != j:
                 r -= 1
-            top = rows[r].pop()
-            if len(rows[r]) == 1:  # only the last list row can drop to one box
+            top = rows[r].pop(-2)
+            if len(rows[r]) == 2:  # only the last list row can drop to one box
                 tail.appendleft(rows.pop()[0])
         if r == 0:
             out[j - 1] = top
             continue
-        # Reverse bump the end of the row above, as in inverse_rsk, each
-        # search starting right of the column i leaves.  Up the tail that
-        # moves each one-box row up one and ejects its first, from column 0.
+        # Reverse bump the end of the row above, as in inverse_rsk: i lands
+        # in the column c it leaves unless column c + 1 holds a smaller
+        # entry, then in c + 1, and otherwise the search starts at c + 3.
+        # Up the tail that moves each one-box row up one and ejects its
+        # first, from column 0.
         if r > len(rows):
             i = tail.popleft()
             c = 0
             above = rows
         else:
-            i = rows[r - 1].pop()
-            c = len(rows[r - 1])
+            i = rows[r - 1].pop(-2)
+            c = len(rows[r - 1]) - 1
             if c == 1:
                 tail.appendleft(rows.pop()[0])
             above = rows[: r - 1]
         for row in reversed(above):
-            c = bisect_left(row, i, c + 1) - 1
+            if row[c + 1] < i:
+                c += 1
+                if row[c + 1] < i:
+                    c = bisect_left(row, i, c + 2) - 1
             row[c], i = i, row[c]
         out[j - 1], out[i - 1] = i, top
     return tuple(out)
@@ -387,22 +429,20 @@ def f_involution(p: Sequence[int]) -> Perm:
     visits about n(lambda) / 2 rows to insert p# and n(lambda) to reverse
     bump T, and does more per entry (a second tableau to build, a
     recording tableau to index).  The evacuation route is taken when
-    3 n(lambda) + 10 n is below that bound, a rule read off the shape in
-    O(rows).  It was fitted to timings of both routes on seeded
-    involutions and their f images: n = 10^3, 2 * 10^3, 4 * 10^3, 10^4
-    and 3 * 10^4 at 5% to 100% of the entries in 2-cycles, and n = 10^5 at
-    20% to 100%, 138 inputs.  It took the slower route on 5 of them: at
-    40% to 60% paired, where the two are close, by at most 1.21 times (n =
-    10^4, 60%; the least of 5 runs), and by 1.11 times (0.05 ms) at n =
-    10^3 and 5% paired.  Looking next to the column a carry left made the
-    reverse bumps of the evacuation route cheaper, and the rule was kept.
-    Re-timed on 80 seeded inputs, n = 10^3, 2 * 10^3, 4 * 10^3 and 10^4 at
-    5% to 100% paired, it takes the slower route on 8, against 2 with
-    whole-row searches: each time the peel, at 40% to 65% paired by at
-    most 1.17 times (n = 4 * 10^3, 65%; 2 ms), and at n = 10^3 and 5% by
-    1.25 times (0.13 ms).  On the 27 inputs of the benchmark's f-large,
-    n = 10^3 to 4 * 10^3 at 20%, 70% and 100%, it takes the faster route
-    on all.
+    5 n(lambda) + 10 n is below that bound, a rule read off the shape in
+    O(rows).  It was fitted to timings of both routes, the least of 5 runs
+    (3 at n = 10^5), on seeded involutions and their f images: n = 10^3,
+    2 * 10^3, 4 * 10^3, 10^4 and 3 * 10^4 at 5% to 100% of the entries in
+    2-cycles, and n = 10^5 at 20% to 100%, 138 inputs, over the constants
+    a = 1 .. 8 and b = 0 .. 40 of a n(lambda) + b n.  41 of the inputs, f
+    images of tall T with n(lambda) past 4 times that bound plus 100 n,
+    were timed on the peel alone, which every rule takes.  It takes the
+    slower route on 1 of them, by 1.10 times (evacuation, n = 4 * 10^3, 40%
+    paired; 0.6 ms).  The rule 3 n(lambda) + 10 n, fitted when the peel and
+    the insertion searched whole rows, takes the slower route on 12, each
+    time the evacuation route, by up to 1.34 times (n = 10^5, 50%; 0.36 s).
+    On the 27 inputs of the benchmark's f-large, n = 10^3 to 4 * 10^3 at
+    20%, 70% and 100%, it takes the faster route on all.
 
     >>> f_involution((2, 1, 5, 4, 3, 9, 8, 7, 6))
     (6, 7, 3, 4, 8, 1, 2, 5, 9)
@@ -414,7 +454,7 @@ def f_involution(p: Sequence[int]) -> Perm:
     n_lam = sum(map(mul, count(), lam))
     n_lam_transposed = sum(map(comb, lam, repeat(2)))
     overhang = lam[0] - lam[1] if len(lam) > 1 else n  # T^T's one-box rows
-    if 3 * n_lam + 10 * n < n_lam_transposed - comb(overhang, 2):
+    if 5 * n_lam + 10 * n < n_lam_transposed - comb(overhang, 2):
         q_sharp = tuple(n + 1 - x for x in reversed(q))
         return reverse(_inverse_rsk(t, _involution_tableau(q_sharp)))
     return _peel(t)

@@ -78,6 +78,20 @@ MUTANTS = (
         verify("rsk"),
     ),
     Mutant(
+        "_bump keeps the column the carry left",
+        "insertion.py",
+        "                if j and row[j - 1] > x:\n                    j -= 1\n",
+        "                if False:\n                    j -= 1\n",
+        verify("rsk"),
+    ),
+    Mutant(
+        "_peel's one-column probe skips a column",
+        "insertion.py",
+        "                c += 1\n                if row[c + 1] < i:\n",
+        "                c += 1\n                if True:\n",
+        verify("rsk"),
+    ),
+    Mutant(
         "_peel skips row 0",
         "insertion.py",
         "reversed(above)",
@@ -209,8 +223,8 @@ MUTANTS = (
     Mutant(
         "f's route rule inverted",
         "insertion.py",
-        "if 3 * n_lam + 10 * n < n_lam_transposed - comb(overhang, 2):",
-        "if not 3 * n_lam + 10 * n < n_lam_transposed - comb(overhang, 2):",
+        "if 5 * n_lam + 10 * n < n_lam_transposed - comb(overhang, 2):",
+        "if not 5 * n_lam + 10 * n < n_lam_transposed - comb(overhang, 2):",
         verify("all"),
         digest=VERIFY_ALL,
         survives=True,
@@ -232,6 +246,26 @@ MUTANTS = (
         "                j += 1\n                if row[j + 1] < x:\n"
         "                    j = bisect_left(row, x, j + 2) - 1\n",
         "                j = bisect_left(row, x, j + 2) - 1\n",
+        verify("all"),
+        digest=VERIFY_ALL,
+        survives=True,
+    ),
+    Mutant(
+        "_bump drops its one-column probe",
+        "insertion.py",
+        "                    j -= 1\n                    if j and row[j - 1] > x:\n"
+        "                        j = bisect_right(row, x, 0, j - 1)\n",
+        "                    j = bisect_right(row, x, 0, j - 1)\n",
+        verify("all"),
+        digest=VERIFY_ALL,
+        survives=True,
+    ),
+    Mutant(
+        "_peel drops its one-column probe",
+        "insertion.py",
+        "                c += 1\n                if row[c + 1] < i:\n"
+        "                    c = bisect_left(row, i, c + 2) - 1\n",
+        "                c = bisect_left(row, i, c + 2) - 1\n",
         verify("all"),
         digest=VERIFY_ALL,
         survives=True,

@@ -52,6 +52,31 @@ def test_row_insert_refuses_rows_that_are_not_a_partial_tableau():
     assert row_insert(((2, 7), (5,)), 3) == (((2, 3), (5, 7)), 2)
 
 
+def test_row_insert_takes_any_distinct_integers():
+    # Entries below 1 and past their count: the sentinel that ends the
+    # forward loop's rows must lie past any partial tableau's entries, not
+    # at n + 1, and no row may start with a sentinel 0.
+    cases = [
+        (((-5, 0), (-3, 9)), -4),
+        (((0, 2), (1,)), -1),
+        (((1, 2, 3),), 100),
+        (((-7, -2, 40, 41), (-6, 50), (60,)), -3),
+        ((), 0),
+        (((10**30,),), -(10**30)),
+    ]
+    rng = random.Random(4)
+    for _ in range(200):
+        values = rng.sample(range(-60, 60), rng.randint(1, 14)) + [rng.choice((-1, 1)) * 10**rng.randint(9, 40)]
+        rows = []
+        for x in values[1:]:
+            schensted_insert(rows, x)
+        cases.append((tableaux.as_tableau(rows), values[0]))
+    for t, x in cases:
+        rows = [list(row) for row in t]
+        landing = schensted_insert(rows, x)
+        assert row_insert(t, x) == (tableaux.as_tableau(rows), landing + 1), (t, x)
+
+
 def test_rsk_worked_examples():
     layered = ((1, 3, 6), (2, 4, 7), (5, 8), (9,))
     assert rsk((2, 1, 5, 4, 3, 9, 8, 7, 6)) == (layered, layered)
@@ -334,23 +359,32 @@ def test_tail_kernels_agree_with_the_list_loops_on_tall_tableaux(kind):
     assert insertion._shape_within(q, len(lengths) - 1) is None
 
 
+def schensted_insert(rows, x):
+    # Schensted's row insertion as written: each row searched whole, from
+    # column 0, with bisect_right.  Inserts x into the list rows in place
+    # and returns the 0-based row appended to.
+    for r, row in enumerate(rows):
+        j = bisect_right(row, x)
+        if j == len(row):
+            row.append(x)
+            return r
+        row[j], x = x, row[j]
+    rows.append([x])
+    return len(rows) - 1
+
+
 def schensted(p):
-    # Schensted's insertion as written: each row searched whole, from
-    # column 0, and Q records step s in the row where P's is appended to.
-    # The reference for rsk's loop, which probes next to the column a carry
-    # left, and for inverse_rsk's reverse bumps.
+    # Schensted's insertion of p, P and Q: Q records step s in the row
+    # where P's is appended to.  The reference for every bumping loop of
+    # rsinv.insertion: rsk's and the involution insertion's, which look
+    # next to the column a carry left, row_insert's, and the reverse bumps
+    # of inverse_rsk and of the peel.
     p_rows, q_rows = [], []
     for step, x in enumerate(p, start=1):
-        for prow, qrow in zip(p_rows, q_rows):
-            j = bisect_right(prow, x)
-            if j == len(prow):
-                prow.append(x)
-                qrow.append(step)
-                break
-            prow[j], x = x, prow[j]
-        else:
-            p_rows.append([x])
-            q_rows.append([step])
+        r = schensted_insert(p_rows, x)
+        if r == len(q_rows):
+            q_rows.append([])
+        q_rows[r].append(step)
     return tableaux.as_tableau(p_rows), tableaux.as_tableau(q_rows)
 
 
@@ -363,6 +397,19 @@ def test_bump_loops_agree_with_schensted_exhaustively():
             assert inverse_rsk(pair) == p, p
             count += 1
     assert count == 46234
+
+
+def test_involution_kernels_agree_with_schensted_exhaustively():
+    # The involution insertion builds P(q) with one bump per 2-cycle, and
+    # the peel of T^T takes T back to q: both against Schensted's loop.
+    count = 0
+    for n in range(11):
+        for q in involutions(n):
+            t = schensted(q)[0]
+            assert insertion._involution_tableau(q) == t, q
+            assert peel(t) == q, q
+            count += 1
+    assert count == 13232
 
 
 def drift(m):
@@ -409,6 +456,65 @@ def test_reverse_bumps_invert_the_forward_loop_at_scale(kind):
         image = insertion._peel(pair[0])
         assert image == f_involution(p)
         assert rsk(image) == (flipped, flipped)
+
+
+def pairing(n, pairs):
+    # the involution of 1..n with these 2-cycles, the rest fixed
+    q = list(range(1, n + 1))
+    for a, b in pairs:
+        q[a - 1], q[b - 1] = b, a
+    return tuple(q)
+
+
+def drift_involution(m):
+    # The involution insertion's analogue of drift(m).  The fixed points
+    # 2, 4, ..., 2m and the 2-cycles (2m+1 2m+2), (2m+3 2m+4) leave a first
+    # row 2, 4, ..., 2m, 2m+1, 2m+3 over a second row 2m+2, 2m+4.  Then
+    # 2m-1, 2m-3, ..., 1 are inserted, each as its partner comes, and 2k - 1
+    # bumps 2k from column k to column 1 of the second row, two boxes long:
+    # from k = 5 on, the look at column k - 1 is past the row's end, and the
+    # row is searched whole.  The peel carries each 2k back up, right of the
+    # two columns it looks at.
+    return pairing(
+        3 * m + 4,
+        [(2 * m + 1, 2 * m + 2), (2 * m + 3, 2 * m + 4), *((2 * k - 1, 3 * m + 5 - k) for k in range(1, m + 1))],
+    )
+
+
+def blocks_involution(m):
+    # The analogue of blocks(m): the fixed points 2, 4, ..., 2m and the
+    # 2-cycles (2m+2t-1 2m+2t) leave a second row 2m+2, ..., 4m as long as
+    # the first, each entry larger than all of the first's evens.  Then
+    # 2k - 1 bumps 2k from column k to column 1 of that row, left of the
+    # two columns the insertion looks at, and the peel carries it back up
+    # right of the two it looks at: the bounded searches.
+    return pairing(
+        5 * m,
+        [*((2 * m + 2 * t - 1, 2 * m + 2 * t) for t in range(1, m + 1)), *((2 * k - 1, 5 * m + 1 - k) for k in range(1, m + 1))],
+    )
+
+
+INVOLUTION_SCALE_WORDS = {
+    "drift": lambda: drift_involution(665),
+    "blocks": lambda: blocks_involution(400),
+    "paired-0.2": lambda: seeded_involution(11, 2000, 0.2),
+    "paired-0.7": lambda: seeded_involution(11, 2000, 0.7),
+}
+
+
+@pytest.mark.parametrize("kind", INVOLUTION_SCALE_WORDS)
+def test_involution_kernels_agree_with_schensted_at_scale(kind):
+    # On the seeded involutions most carries land in the column they left
+    # or one over, both ways (module docstring of rsinv.insertion); the
+    # drift and blocks analogues take the whole-row and bounded searches.
+    # f's peel of T itself, whose list rows are T's columns, is checked
+    # through Schensted's tableau of its image.
+    q = INVOLUTION_SCALE_WORDS[kind]()
+    t = schensted(q)[0]
+    assert insertion._involution_tableau(q) == t
+    assert peel(t) == q
+    flipped = transpose(t)
+    assert schensted(insertion._peel(t))[0] == flipped
 
 
 def entries(x):
