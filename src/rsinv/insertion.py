@@ -228,7 +228,7 @@ def rsk(p: Sequence[int]) -> tuple[Tableau, Tableau]:
     """
     The Robinson-Schensted correspondence: p -> (P, Q) of equal shape.
     Q records step s as p's entry of value s, taken from the value-ordered
-    entries the permutation check sorts, so p is sorted once and both
+    entries that the permutation check puts in place in O(n), so both
     tableaux hold p's own int objects.
 
     >>> rsk((2, 1, 4, 3))

@@ -9,7 +9,8 @@ or (None, 1), the predicates answer False, ``inverse``, ``jogs``,
 ``layers`` NotLayered.  ``is_involution`` and ``inverse`` each refuse
 every word that is not a permutation in their own single pass, so
 ``check_involution`` decides with the first and ``insertion.is_gfk_tight``
-with the second, and neither sorts a word it accepts.
+with the second.  ``is_permutation`` and ``check_permutation`` put each
+entry in the slot of its value, in one O(n) pass with no sort.
 ``reverse``, ``descent_set``, ``prefix_lds_lengths``, ``longest_decreasing``
 and ``record_breakers`` take any integer word.  A word given as an
 iterator gets its tuple's answer, or a TypeError: no function answers
@@ -82,19 +83,30 @@ def is_permutation(values: Sequence[int]) -> bool:
     >>> [is_permutation(w) for w in [(), (1,), (2, 1), (1, 1), (0, 1), (None, 1)]]
     [True, True, True, False, False, False]
     """
+    try:
+        values = tuple(values)  # an iterator gets its tuple's answer
+    except TypeError:
+        return False
     return _in_value_order(values) is not None
 
 
-def _in_value_order(values: Sequence[int]) -> list[int] | None:
-    # The entries as ints, sorted, when they are 1..n each once, else None.
-    # operator.index returns an int as itself, so item s-1 is the entry of
-    # value s as the caller's own int object: rsk records it in Q instead
-    # of making a new int for each step.
+def _in_value_order(values: tuple[int, ...]) -> list[int] | None:
+    # The entries as ints in value order when they are 1..n each once, else
+    # None, in O(n) without a sort: each entry v is put in slot v - 1.  A
+    # value past n or below 1 - n, or one that is not an integer, stops the
+    # fill.  One from 1 - n to 0 wraps round to a slot from the end, but the
+    # n slots read 1..n only if each of the n entries put its own value
+    # once.  operator.index returns an int as itself, so item s-1 is the
+    # entry of value s as the caller's own int object: rsk records it in Q
+    # instead of making a new int for each step.
+    n = len(values)
+    ordered = [0] * n
     try:
-        ordered = sorted(map(index, values))
-    except TypeError:
+        for v in map(index, values):
+            ordered[v - 1] = v
+    except (IndexError, TypeError):
         return None
-    return ordered if ordered == list(range(1, len(values) + 1)) else None
+    return ordered if ordered == list(range(1, n + 1)) else None
 
 
 def _check_in_value_order(values: Sequence[int]) -> tuple[Perm, list[int]]:

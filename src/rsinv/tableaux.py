@@ -6,13 +6,16 @@ strictly increasing along rows and down columns.  The empty tableau ``()``
 is valid.
 
 One private function, ``_checked``, refuses a bad standard or partial
-tableau with InvalidTableau: it converts the rows once, decides the entry
-set from one sort, then scans the row lengths, rows and columns.
-``check_tableau`` and ``check_partial_tableau`` call it, and ``validate``
-is check_tableau's answer as a bool.  ``transpose`` and ``first_column``
-move entries without comparing them, so they test only the length rule
-(positive, weakly decreasing), in O(number of rows); ``conjugate`` tests
-the same rule with zero parts allowed, and refuses with a DomainError.
+tableau with InvalidTableau in O(n), without a sort: it converts the rows
+once, tells the entries are distinct from the size of their set, scans
+the row lengths, rows and columns, and only then, for a standard tableau,
+reads the least entry (the first row's first) and the largest (the
+largest row end).  ``check_tableau`` and ``check_partial_tableau`` call
+it, and ``validate`` is check_tableau's answer as a bool.  ``transpose``
+and ``first_column`` move entries without comparing them, so they test
+only the length rule (positive, weakly decreasing), in O(number of rows);
+``conjugate`` tests the same rule with zero parts allowed, and refuses
+with a DomainError.
 
 The predicates on tableaux answer False on rows that ``validate`` rejects,
 and ``tableau_descents`` raises InvalidTableau on them, so untrusted rows
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain, compress, count
-from operator import ge, index, lt
+from operator import ge, index, itemgetter, lt
 from typing import Sequence
 
 from .errors import DomainError, InvalidTableau
@@ -40,7 +43,7 @@ def as_tableau(rows: Sequence[Sequence[int]]) -> Tableau:
 
 
 def shape(t: Sequence[Sequence[int]]) -> Shape:
-    return tuple(len(row) for row in t)
+    return tuple(map(len, t))
 
 
 def size(t: Sequence[Sequence[int]]) -> int:
@@ -117,24 +120,28 @@ def check_partial_tableau(t: Sequence[Sequence[int]]) -> Tableau:
 
 
 def _checked(t: Sequence[Sequence[int]], partial: bool) -> Tableau:
-    # The one refusal of both checks, on rows converted once.  One sort of
-    # the integer entries decides their set: distinct and, unless partial,
-    # from 1 to n, and n distinct integers from 1 to n are exactly 1..n.
-    # Each scan is C-level (map over operator) and relies on the ones
-    # before it: the entries are integers before rows and columns are
-    # compared.
+    # The one refusal of both checks, on rows converted once, in O(n)
+    # without a sort.  A set of the integer entries tells they are
+    # distinct.  Unless partial, they are then 1..n exactly when the least
+    # is 1 and the largest n; once rows and columns increase, the least is
+    # the first row's first entry and the largest is some row's last.  Each
+    # scan is C-level (map over operator) and relies on the ones before it:
+    # the entries are integers before rows and columns are compared, and
+    # those are compared before the corners are read.
     kind = "partial standard tableau" if partial else "standard Young tableau"
     try:
         tab = as_tableau(t)
-        entries = sorted(map(index, chain.from_iterable(tab)))
+        distinct = len(set(map(index, chain.from_iterable(tab))))
     except TypeError:  # t or a row not iterable, or an entry not an integer
         raise InvalidTableau(f"not a {kind}: {t!r}") from None
+    lengths = shape(tab)
+    n = sum(lengths)
     if not (
-        all(map(lt, entries, entries[1:]))
-        and (partial or not entries or entries[0] == 1 and entries[-1] == len(entries))
-        and _is_shape(shape(tab))
+        distinct == n
+        and _is_shape(lengths)
         and all(all(map(lt, row, row[1:])) for row in tab)
         and all(all(map(lt, upper, lower)) for upper, lower in zip(tab, tab[1:]))
+        and (partial or not tab or tab[0][0] == 1 and max(map(itemgetter(-1), tab)) == n)
     ):
         raise InvalidTableau(f"not a {kind}: {tab}")
     return tab

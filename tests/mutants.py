@@ -139,7 +139,7 @@ MUTANTS = (
         "permutations.py",
         "lengths.sort(reverse=True)",
         "pass",
-        pytest("tests/test_permutations.py"),
+        pytest("tests/test_permutations.py", "-k", "jog"),
     ),
     # On a permutation the jog lower bound already forces the last prefix
     # sum to be n, so no verify suite kills this one; only the synthetic
@@ -198,6 +198,30 @@ MUTANTS = (
         'raise NotLayered(f"not layered: {tuple(p)}")',
         "tops = [len(p)]",
         pytest("tests/test_permutations.py", "-k", "layers"),
+    ),
+    # The permutation check puts each entry in the slot of its value, and
+    # the tableau check counts distinct entries and reads the largest from
+    # the row ends: the tests against the definitions see each of these.
+    Mutant(
+        "_in_value_order without its final compare",
+        "permutations.py",
+        "return ordered if ordered == list(range(1, n + 1)) else None",
+        "return ordered",
+        pytest("tests/test_permutations.py", "-k", "is_permutation_agrees"),
+    ),
+    Mutant(
+        "_checked without its distinct count",
+        "tableaux.py",
+        "distinct == n\n",
+        "True\n",
+        pytest("tests/test_tableaux.py", "-k", "every_perturbation"),
+    ),
+    Mutant(
+        "_checked without its largest-row-end test",
+        "tableaux.py",
+        " and max(map(itemgetter(-1), tab)) == n",
+        "",
+        pytest("tests/test_tableaux.py", "-k", "every_perturbation"),
     ),
     Mutant(
         "count_A without parts of size n",

@@ -13,13 +13,14 @@ from rsinv.errors import (
     NotLayered,
     PatternTooLarge,
 )
-from rsinv.insertion import is_gfk_tight
+from rsinv.insertion import is_gfk_tight, rsk
 from rsinv.permutations import (
     PATTERN_SCAN_BUDGET,
     Interval,
     all_permutations,
     avoids,
     check_involution,
+    check_permutation,
     classify_entries,
     contains_pattern,
     decreasing,
@@ -116,8 +117,9 @@ def test_classify_entries_rejects_non_involution():
 
 def test_the_single_passes_refuse_every_word_that_is_not_a_permutation():
     # check_involution decides with is_involution, and is_gfk_tight with the
-    # inverse inside jog_lengths, so neither sorts a word it accepts: each
-    # pass must refuse every word that is_permutation's sort refuses.
+    # inverse inside jog_lengths, so neither calls is_permutation on a word
+    # it accepts: each pass must refuse every word that is_permutation
+    # refuses.
     values = (-3, -1, 0, 1, 2, 3, 4, 5, None, 2.0, True)
     for n in range(5):
         for word in product(values, repeat=n):
@@ -438,3 +440,42 @@ def test_an_iterator_gets_its_tuples_answer_or_a_type_error():
             got = _outcome(function, *args)
             assert got in (want, ("raise", TypeError)), (name, word, place, want, got)
     assert {"is_involution", "pattern_of", "contains_pattern", "avoids"} <= called
+
+
+def reference_is_permutation(word):
+    # the definition: every entry is an int (a bool is one), and the
+    # entries, sorted, are 1..n
+    return all(isinstance(v, int) for v in word) and sorted(word) == list(
+        range(1, len(word) + 1)
+    )
+
+
+def definition_words():
+    # Every word of length <= 5 over values that wrap round a list from the
+    # end (0, -1, -5), that no list reaches (2**64), that repeat a value
+    # (True is 1) or that are not integers.  The permutation check puts
+    # each entry in the slot of its value, so it must refuse every word
+    # whose slots do not end up reading 1..n.
+    values = (-5, -1, 0, 1, 2, 3, 4, 5, 6, 2**64, None, 2.0, True)
+    return (word for n in range(6) for word in product(values, repeat=n))
+
+
+def test_is_permutation_agrees_with_the_definition():
+    for word in definition_words():
+        expected = reference_is_permutation(word)
+        assert is_permutation(word) is expected, word
+        assert is_permutation(iter(word)) is expected, word
+
+
+def test_permutation_refusals_agree_with_the_definition():
+    # check_permutation and rsk's refusal, each on an iterator over the word
+    for word in definition_words():
+        expected = reference_is_permutation(word)
+        for check in (check_permutation, rsk):
+            try:
+                check(iter(word))
+            except InvalidPermutation as exc:
+                assert not expected, word
+                assert str(exc) == f"not a permutation of 1..{len(word)}: {word}"
+            else:
+                assert expected, word

@@ -1,6 +1,7 @@
 import inspect
 import random
 from collections.abc import Iterator
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +14,7 @@ from rsinv.tableaux import (
     _is_layered_tableau,
     _satisfies_transposed_layer,
     _tableau_descents,
+    check_partial_tableau,
     conjugate,
     first_column,
     is_layered_tableau,
@@ -60,15 +62,21 @@ def test_inverse_rsk_refuses_float_entries():
         inverse_rsk((((1.0,),), ((1.0,),)))
 
 
-def reference_validate(t):
-    # the definition, one entry at a time
+def reference_validate(t, partial=False):
+    # the definition, one entry at a time: positive, weakly decreasing row
+    # lengths, rows and columns strictly increasing, and entries 1..n or,
+    # in a partial standard tableau, any distinct integers
     rows = [list(row) for row in t]
     if any(len(row) == 0 for row in rows):
         return False
     if any(len(rows[r]) < len(rows[r + 1]) for r in range(len(rows) - 1)):
         return False
     entries = [v for row in rows for v in row]
-    if sorted(entries) != list(range(1, len(entries) + 1)):
+    if not all(isinstance(v, int) for v in entries):
+        return False
+    if partial and len(set(entries)) != len(entries):
+        return False
+    if not partial and sorted(entries) != list(range(1, len(entries) + 1)):
         return False
     for r, row in enumerate(rows):
         for c, v in enumerate(row):
@@ -79,31 +87,83 @@ def reference_validate(t):
     return True
 
 
-@st.composite
-def perturbed_tableaux(draw):
-    rows = [list(row) for row in draw(tableaux_from_perms(max_n=10))]
+def accepts(check, t):
+    try:
+        check(t)
+    except InvalidTableau:
+        return False
+    return True
+
+
+PERTURBATIONS = ("none", "swap", "shorten", "empty row", "zero", "negate", "shift", "repeat")
+
+
+def perturbed(t, kind):
+    # every tableau one perturbation of this kind makes of t
+    rows = [list(row) for row in t]
+    n = sum(map(len, rows))
     cells = [(r, c) for r, row in enumerate(rows) for c in range(len(row))]
-    kind = draw(st.sampled_from(["none", "swap", "shorten", "empty row", "zero"]))
-    if kind == "swap" and len(cells) > 1:
-        (r1, c1), (r2, c2) = draw(st.permutations(cells))[:2]
-        rows[r1][c1], rows[r2][c2] = rows[r2][c2], rows[r1][c1]
-    elif kind == "shorten" and rows:
+
+    def entries(changes):
+        new = [list(row) for row in rows]
+        for (r, c), v in changes:
+            new[r][c] = v
+        return tuple(map(tuple, new))
+
+    if kind == "none":
+        return [t]
+    if kind == "swap":
+        return [
+            entries([((r, c), rows[s][d]), ((s, d), rows[r][c])])
+            for (r, c), (s, d) in combinations(cells, 2)
+        ]
+    if kind == "shorten":
         # drop a row's last entry and renumber the rest 1..n-1 in order, so
         # that only the shape can be wrong
-        rows[draw(st.integers(0, len(rows) - 1))].pop()
-        rank = {v: i for i, v in enumerate(sorted(v for row in rows for v in row), 1)}
-        rows = [[rank[v] for v in row] for row in rows]
-    elif kind == "empty row":
-        rows.insert(draw(st.integers(0, len(rows))), [])
-    elif kind == "zero" and cells:
-        r, c = draw(st.sampled_from(cells))
-        rows[r][c] = 0
-    return tuple(tuple(row) for row in rows)
+        out = []
+        for r in range(len(rows)):
+            short = [row[:-1] if i == r else row for i, row in enumerate(rows)]
+            rank = {v: i for i, v in enumerate(sorted(v for row in short for v in row), 1)}
+            out.append(tuple(tuple(rank[v] for v in row) for row in short))
+        return out
+    if kind == "empty row":
+        return [(*t[:r], (), *t[r:]) for r in range(len(t) + 1)]
+    if kind == "zero":
+        return [entries([(cell, 0)]) for cell in cells]
+    if kind == "negate":
+        return [entries([((r, c), -rows[r][c])]) for r, c in cells]
+    if kind == "shift":
+        return [entries([((r, c), rows[r][c] + d)]) for r, c in cells for d in (n, -n)]
+    # "repeat": an entry takes the value of an entry in another row
+    return [entries([(a, rows[b[0]][b[1]])]) for a in cells for b in cells if a[0] != b[0]]
+
+
+@st.composite
+def perturbed_tableaux(draw):
+    t = draw(tableaux_from_perms(max_n=10))
+    kind = draw(st.sampled_from(PERTURBATIONS))
+    return draw(st.sampled_from(perturbed(t, kind) or [t]))
 
 
 @given(perturbed_tableaux())
 def test_validate_agrees_with_the_definition(t):
     assert validate(t) == reference_validate(t)
+    assert accepts(check_partial_tableau, t) == reference_validate(t, partial=True)
+
+
+def test_the_checks_agree_with_the_definitions_on_every_perturbation():
+    # Each perturbation of each standard tableau with n <= 6.  The checks
+    # tell distinct entries by the size of their set and read only the
+    # least entry and the largest row end, so a repeat in another row, an
+    # entry shifted past n or below 1, or negated, must each be refused.
+    for n in range(7):
+        for t in standard_tableaux(n):
+            for kind in PERTURBATIONS:
+                for bad in perturbed(t, kind):
+                    assert validate(bad) == reference_validate(bad), bad
+                    assert accepts(check_partial_tableau, bad) == reference_validate(
+                        bad, partial=True
+                    ), bad
 
 
 def test_transpose():
